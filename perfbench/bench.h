@@ -11,6 +11,10 @@
 
 #include "stats.h"
 
+namespace accl {
+class SubscriptionEngine;
+}
+
 namespace perfbench {
 
 inline int64_t NowNs() {
@@ -152,6 +156,10 @@ struct Args {
 void RunIndexSelect(const Args& args, Report* rep);
 void RunPubsubMatch(const Args& args, Report* rep);
 void RunPubsubChurn(const Args& args, Report* rep);
+
+/// True when every shard's last AC reorganization pass made no split and
+/// no merge: the engine's clusterings have settled for the current traffic.
+bool ShardsQuiet(const accl::SubscriptionEngine& e);
 
 /// Closed-loop work counted against a deadline: true while `now` is before
 /// `deadline_ns`.

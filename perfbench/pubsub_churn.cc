@@ -2,8 +2,8 @@
 //
 // A durable engine (durability::OpenDurable: group commit, background
 // checkpoints) with kRange sharding and adaptive routing on. Three writer
-// threads run closed loops of SubscribeBox/Unsubscribe that keep the live
-// set steady; one caller runs MatchBatch (match_threads 0). Events are
+// threads run paced closed loops of SubscribeBox/Unsubscribe that keep the
+// live set steady; one caller runs MatchBatch (match_threads 0). Events are
 // Zipf-hot on one dimension, and that dimension shifts midway, so the
 // advisor re-fences while writes are in flight. The engine is then closed
 // and reopened from its files, and the same traffic continues on the
@@ -46,11 +46,12 @@ constexpr size_t kWriters = 3;
 constexpr size_t kBoxesPerWriter = 8192;  // subscribe boxes, cycled
 constexpr size_t kBatch = 64;            // matcher batch
 constexpr size_t kPoolBatches = 64;      // per hot dimension, cycled
-// Each writer waits this long between its operations. It keeps the write
-// rate, and so the writers' share of the host, from following how fast the
-// disk syncs on a given run; the matcher's figures would otherwise inherit
-// the disk's noise.
-constexpr auto kWriterThink = std::chrono::milliseconds(1);
+// Each writer starts one Subscribe/Unsubscribe pair every period (one in
+// flight; a late writer starts its next pair at once but never bursts to
+// catch up), so 3 writers offer 1200 writes/s. A fixed rate keeps the
+// writers' share of the host, and their interference with the matcher,
+// from following how fast the disk syncs on a given run.
+constexpr int64_t kWriterPeriodNs = 5'000'000;
 constexpr Dim kHotFirst = 2;             // hot event dimension, first half
 constexpr Dim kHotSecond = 4;            // ... after the shift
 constexpr size_t kZipfBins = 64;
@@ -58,8 +59,10 @@ constexpr double kZipfS = 1.1;
 constexpr uint64_t kCheckpointEvery = 5000;  // acknowledged mutations
 constexpr size_t kLoadChunk = 1000;
 constexpr size_t kMaxConvergeBatches = 2000;
+constexpr size_t kMinWarmupPasses = 12;
+constexpr size_t kMaxWarmupPasses = 100;
 constexpr size_t kOracleEvents = 48;
-constexpr int kSetupReps = 3;
+constexpr int kSetupReps = 5;
 constexpr MatchPolicy kPolicy = MatchPolicy::kIntersecting;
 
 accl::AttributeSchema UnitSchema() {
@@ -176,6 +179,7 @@ struct Instance {
   DurableEngine de;
   std::vector<Ledger> ledgers;
   size_t converge_batches = 0;
+  size_t warmup_passes = 0;
 };
 
 std::string WalPath(const std::string& dir) { return dir + "/wal"; }
@@ -221,6 +225,18 @@ std::unique_ptr<Instance> SetUp(const Args& args, Report* rep) {
   while (e.routing_dimension() != kHotFirst &&
          x->converge_batches < kMaxConvergeBatches) {
     e.MatchBatch(PoolBatch(x->in.first, x->converge_batches++), kPolicy, &res);
+  }
+  // AC convergence: pool passes of the first stream, at least
+  // kMinWarmupPasses (more than any seed needed to settle when this was
+  // written, so set-up does the same work every run) and then until every
+  // shard's last reorganization pass made no split and no merge, so the
+  // timed matcher does not start on clusterings still being rebuilt.
+  while (x->warmup_passes < kMaxWarmupPasses) {
+    for (size_t b = 0; b < kPoolBatches; ++b) {
+      e.MatchBatch(PoolBatch(x->in.first, b), kPolicy, &res);
+    }
+    ++x->warmup_passes;
+    if (x->warmup_passes >= kMinWarmupPasses && ShardsQuiet(e)) break;
   }
   if (!x->de.checkpointer->CheckpointNow()) {
     rep->Fail("pubsub_churn: set-up checkpoint failed");
@@ -274,6 +290,9 @@ void RunTraffic(Instance* x, double seconds, double shift_after,
       Ledger& led = x->ledgers[w];
       const std::vector<Box>& boxes = x->in.writer_boxes[w];
       uint64_t op = 0;
+      // Writers start a third of a period apart.
+      int64_t due = start + static_cast<int64_t>(w) * kWriterPeriodNs /
+                                static_cast<int64_t>(kWriters);
       while (!stop.load(std::memory_order_relaxed)) {
         const Box* box = &boxes[led.next_box++ % boxes.size()];
         const uint64_t v0 = e.routing_version();
@@ -313,7 +332,9 @@ void RunTraffic(Instance* x, double seconds, double shift_after,
         }
         writes.fetch_add(2, std::memory_order_relaxed);
         ++op;
-        std::this_thread::sleep_for(kWriterThink);
+        due = std::max(due + kWriterPeriodNs, NowNs());
+        std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+            std::chrono::nanoseconds(due)));
       }
     });
   }
@@ -490,7 +511,8 @@ void RunPubsubChurn(const Args& args, Report* rep) {
             std::to_string(x->de.engine->subscription_count()) +
             " live subscriptions, routing on dimension " +
             std::to_string(x->de.engine->routing_dimension()) + " after " +
-            std::to_string(x->converge_batches) + " convergence batches");
+            std::to_string(x->converge_batches) + " convergence batches and " +
+            std::to_string(x->warmup_passes) + " AC warm-up passes");
 
   const double half = args.seconds / 2.0;
   PhaseStats before;
@@ -506,6 +528,7 @@ void RunPubsubChurn(const Args& args, Report* rep) {
             " dimension switches, routing on dimension " +
             std::to_string(x->de.engine->routing_dimension()));
   CheckAgainstLedger(x.get(), false, "before close", rep);
+  const uint32_t dim_at_close = x->de.engine->routing_dimension();
   const uint64_t live_segments = x->de.wal->stats().live_segments;
 
   // Restart: close the engine and recover it from its files.
@@ -521,7 +544,7 @@ void RunPubsubChurn(const Args& args, Report* rep) {
   CheckAgainstLedger(x.get(), true, "after recovery", rep);
   rep->Info("recovered routing dimension " +
             std::to_string(x->de.engine->routing_dimension()) +
-            " (was " + std::to_string(kHotSecond) + " before the restart)");
+            " (was " + std::to_string(dim_at_close) + " before the restart)");
 
   c0 = Read(x->de);
   RunTraffic(x.get(), half, 0.0, 0.0, "bench.after_restart", rep, &after);

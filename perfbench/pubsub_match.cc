@@ -132,14 +132,6 @@ struct Instance {
   size_t warmup_passes = 0;
 };
 
-bool ShardsQuiet(const SubscriptionEngine& e) {
-  for (size_t s = 0; s < e.shard_count(); ++s) {
-    const accl::ReorgStats& rs = e.shard_index(s).reorg_stats();
-    if (rs.last_pass_splits != 0 || rs.last_pass_merges != 0) return false;
-  }
-  return true;
-}
-
 std::unique_ptr<Instance> SetUp(uint64_t seed, double open_seconds) {
   auto x = std::make_unique<Instance>();
   x->in = MakeInputs(seed, open_seconds);
@@ -194,6 +186,14 @@ struct ClosedStats {
 };
 
 }  // namespace
+
+bool ShardsQuiet(const SubscriptionEngine& e) {
+  for (size_t s = 0; s < e.shard_count(); ++s) {
+    const accl::ReorgStats& rs = e.shard_index(s).reorg_stats();
+    if (rs.last_pass_splits != 0 || rs.last_pass_merges != 0) return false;
+  }
+  return true;
+}
 
 void RunPubsubMatch(const Args& args, Report* rep) {
   const double closed_s = args.seconds / 2.0;

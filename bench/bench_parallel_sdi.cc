@@ -15,8 +15,9 @@
 // A second scenario stresses dispatch selectivity under skew: subscriptions
 // and events draw their leading-dimension position from a Zipf bin
 // distribution and are compared across three dispatch modes — broadcast
-// (kHashId), range-routed (kRange), and range-routed with online
-// rebalancing — on shard visits per event, wall throughput, and the
+// (kHashId), range-routed (kRange), and range-routed after one
+// RebalanceOnce re-fences at the residents' equal-mass quantiles — on
+// shard visits per event, wall throughput, and the
 // LPT-simulated cost. The per-event match digest must be identical across
 // modes (routing and rebalancing are not allowed to change answers).
 //
@@ -352,18 +353,14 @@ struct SkewedResult {
 };
 
 SkewedResult RunSkewedMode(const char* mode, ShardingPolicy policy,
-                           uint32_t rebalance_period, size_t threads,
-                           size_t subs, size_t n_events, size_t batch,
-                           uint32_t shards) {
+                           bool rebalance, size_t threads, size_t subs,
+                           size_t n_events, size_t batch, uint32_t shards) {
   EngineOptions opts;
   opts.index.reorg_period = 100;
   opts.default_policy = MatchPolicy::kIntersecting;
   opts.shards = shards;
   opts.match_threads = static_cast<uint32_t>(threads);
   opts.sharding = policy;
-  opts.rebalance_period = rebalance_period;
-  opts.rebalance_trigger_ratio = 1.3;
-  opts.rebalance_min_load = 1024;
   AttributeSchema schema;
   for (Dim d = 0; d < kNd; ++d) {
     schema.AddAttribute("a" + std::to_string(d), 0.0, 1.0);
@@ -379,6 +376,7 @@ SkewedResult RunSkewedMode(const char* mode, ShardingPolicy policy,
   }
   std::vector<SubscriptionId> ids;
   engine.SubscribeBatch(Span<const Box>(boxes.data(), boxes.size()), &ids);
+  if (rebalance) engine.RebalanceOnce();
   const std::vector<Event> events = MakeSkewedEvents(1043, n_events, zipf);
 
   SkewedResult r;
@@ -418,7 +416,6 @@ struct UnderRebalanceResult {
   bool digests_stable = true;  ///< every pass produced the same digest
   uint64_t boundary_moves = 0;
   uint64_t migrated = 0;
-  uint64_t predicted_spill = 0;
   uint64_t final_routing_version = 0;
   uint64_t epoch_synchronizes = 0;
   uint64_t epoch_pins = 0;
@@ -504,7 +501,6 @@ UnderRebalanceResult RunMatchUnderRebalance(size_t threads, size_t subs,
 
   r.boundary_moves = engine.rebalance_stats().boundary_moves;
   r.migrated = engine.rebalance_stats().subscriptions_migrated;
-  r.predicted_spill = engine.rebalance_stats().predicted_straddler_spill;
   r.final_routing_version = engine.routing_version();
   engine.SynchronizeEpochs();
   const exec::EpochManagerStats es = engine.epoch_stats();
@@ -1117,11 +1113,11 @@ int main() {
   std::printf("%20s %12s %14s %12s %14s %8s %9s\n", "mode", "wall ms",
               "wall ev/s", "sim ms", "visits/ev", "moves", "migrated");
   const SkewedResult skewed[] = {
-      RunSkewedMode("broadcast", ShardingPolicy::kHashId, 0, sk_threads,
+      RunSkewedMode("broadcast", ShardingPolicy::kHashId, false, sk_threads,
                     sk_subs, sk_events, batch, shards),
-      RunSkewedMode("routed", ShardingPolicy::kRange, 0, sk_threads, sk_subs,
-                    sk_events, batch, shards),
-      RunSkewedMode("routed+rebalance", ShardingPolicy::kRange, 256,
+      RunSkewedMode("routed", ShardingPolicy::kRange, false, sk_threads,
+                    sk_subs, sk_events, batch, shards),
+      RunSkewedMode("routed+rebalance", ShardingPolicy::kRange, true,
                     sk_threads, sk_subs, sk_events, batch, shards),
   };
   for (const SkewedResult& r : skewed) {
@@ -1158,15 +1154,13 @@ int main() {
   std::printf(
       "\nmatch under rebalance: %zu passes x %zu events, %zu threads\n",
       ur_passes, sk_events, sk_threads);
+  std::printf("%12s %14s %8s %9s %9s %9s %9s\n", "wall ms", "wall ev/s",
+              "moves", "migrated", "snapver", "graceper", "reclaim");
   std::printf(
-      "%12s %14s %8s %9s %7s %9s %9s %9s\n", "wall ms", "wall ev/s", "moves",
-      "migrated", "spill", "snapver", "graceper", "reclaim");
-  std::printf(
-      "%12.1f %14.0f %8llu %9llu %7llu %9llu %9llu %9llu\n", ur.wall_ms,
+      "%12.1f %14.0f %8llu %9llu %9llu %9llu %9llu\n", ur.wall_ms,
       1000.0 * static_cast<double>(ur.events_matched) / ur.wall_ms,
       static_cast<unsigned long long>(ur.boundary_moves),
       static_cast<unsigned long long>(ur.migrated),
-      static_cast<unsigned long long>(ur.predicted_spill),
       static_cast<unsigned long long>(ur.final_routing_version),
       static_cast<unsigned long long>(ur.epoch_synchronizes),
       static_cast<unsigned long long>(ur.snapshots_reclaimed));
@@ -1488,7 +1482,6 @@ int main() {
       "    \"wall_events_per_sec\": %.1f,\n    \"matches\": %llu,\n"
       "    \"match_digest\": \"%016llx\",\n    \"digests_stable\": %s,\n"
       "    \"boundary_moves\": %llu,\n    \"subscriptions_migrated\": %llu,\n"
-      "    \"predicted_straddler_spill\": %llu,\n"
       "    \"final_routing_version\": %llu,\n"
       "    \"epoch_synchronizes\": %llu,\n    \"epoch_pins\": %llu,\n"
       "    \"snapshots_reclaimed\": %llu\n  },\n",
@@ -1499,7 +1492,6 @@ int main() {
       ur.digests_stable ? "true" : "false",
       static_cast<unsigned long long>(ur.boundary_moves),
       static_cast<unsigned long long>(ur.migrated),
-      static_cast<unsigned long long>(ur.predicted_spill),
       static_cast<unsigned long long>(ur.final_routing_version),
       static_cast<unsigned long long>(ur.epoch_synchronizes),
       static_cast<unsigned long long>(ur.epoch_pins),

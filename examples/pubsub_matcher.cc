@@ -10,8 +10,10 @@
 #include <cstdio>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 using namespace accl;
 
@@ -55,6 +57,7 @@ int main() {
   const size_t kEvents = 5000;
   std::vector<SubscriptionId> notify;
   bool newark_notified = false;
+  double match_ms = 0.0;
   for (size_t e = 0; e < kEvents; ++e) {
     Event offer;
     const bool ok = engine.MakePointEvent(
@@ -69,21 +72,30 @@ int main() {
         &offer);
     if (!ok) return 1;
     notify.clear();
+    const WallTimer t;
     engine.Match(offer, &notify);
+    match_ms += t.ElapsedMs();
     for (SubscriptionId id : notify) newark_notified |= id == newark;
   }
 
-  const EngineStats& st = engine.stats();
-  std::printf("processed %llu events\n",
-              static_cast<unsigned long long>(st.events_processed));
+  // Engine statistics live in its metrics registry (also exported by
+  // DumpMetrics() in Prometheus text form).
+  const obs::MetricsSnapshot st = engine.metrics().Snapshot();
+  const auto counter = [&st](const char* name) {
+    return static_cast<double>(st.Find(name)->counter);
+  };
+  const double events = counter("accl_pipeline_events_total");
+  const double verified =
+      counter("accl_pipeline_objects_verified_total") / events;
+  std::printf("processed %.0f events\n", events);
   std::printf("  avg subscribers notified per event : %.1f\n",
-              st.matches_per_event.mean());
+              counter("accl_pipeline_matches_total") / events);
   std::printf("  avg subscriptions verified         : %.0f of %zu (%.1f%%)\n",
-              st.verified_per_event.mean(), engine.subscription_count(),
-              100.0 * st.verified_per_event.mean() /
+              verified, engine.subscription_count(),
+              100.0 * verified /
                   static_cast<double>(engine.subscription_count()));
   std::printf("  avg matching latency               : %.3f ms\n",
-              st.match_latency_ms.mean());
+              match_ms / static_cast<double>(kEvents));
   std::printf("  clusters formed by adaptation      : %zu (%llu splits)\n",
               engine.index().cluster_count(),
               static_cast<unsigned long long>(

@@ -35,9 +35,9 @@
 
 namespace accl::adapt {
 
-/// Histogram resolution over [0,1]. 64 bins puts candidate fences at
-/// ~0.016 granularity — far finer than the rebalancer needs to refine
-/// from — while keeping a full per-dimension pattern at 1KiB.
+/// Histogram resolution over [0,1]. 64 bins puts every planned fence (the
+/// advisor's and RebalanceOnce's — both come from PlanFences) on a ~0.016
+/// grid while keeping a full per-dimension pattern at 1KiB.
 inline constexpr size_t kPatternBins = 64;
 
 /// Bin of a normalized coordinate (clamped: out-of-domain coordinates

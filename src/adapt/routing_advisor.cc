@@ -42,10 +42,8 @@ RoutingDecision RoutingAdvisor::Evaluate(const PatternSnapshot& pattern,
     straddle_streak_ = 0;
     return d;
   }
-  const double pressure =
-      static_cast<double>(state.overflow_residents +
-                          state.planner_predicted_spill) /
-      static_cast<double>(state.total_subscriptions);
+  const double pressure = static_cast<double>(state.overflow_residents) /
+                          static_cast<double>(state.total_subscriptions);
   if (pressure < opts_.split_straddler_threshold) {
     straddle_streak_ = 0;
     return d;

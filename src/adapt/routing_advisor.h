@@ -9,12 +9,12 @@
 //      A switch resets the split-patience streak (the new fences change
 //      who straddles).
 //   2. Overflow split: if no switch fires, the current dimension is
-//      (near-)optimal, and straddler pressure — observed overflow
-//      residency plus the rebalance planner's predicted spill, over total
-//      subscriptions — has stayed >= split_straddler_threshold for
-//      split_patience consecutive windows, split the overflow shard on a
-//      second dimension. The split dimension is the pinned opts.split_dim,
-//      or the best-scoring dimension other than the fence dimension.
+//      (near-)optimal, and straddler pressure — catch-all overflow
+//      residents over total subscriptions — has stayed >=
+//      split_straddler_threshold for split_patience consecutive windows,
+//      split the overflow shard on a second dimension. The split dimension
+//      is the pinned opts.split_dim, or the best-scoring dimension other
+//      than the fence dimension.
 //
 // The advisor is sequential state (streak counters) driven from exactly
 // one call site, the engine's adapt evaluation under rebalance_mu_ — it
@@ -37,11 +37,8 @@ struct AdvisorState {
   bool split_active = false;     ///< overflow split already in effect
   uint32_t range_slices = 0;     ///< R: range slices under the fences
   uint32_t split_slices = 0;     ///< S: sub-shards available for a split
-  /// Observed straddlers: residents of the overflow shard(s) right now.
+  /// Observed straddlers: residents of the catch-all overflow shard.
   uint64_t overflow_residents = 0;
-  /// The rebalance planner's most recent predicted_straddler_spill — subs
-  /// it wanted to move but predicted would straddle the new fences.
-  uint64_t planner_predicted_spill = 0;
   uint64_t total_subscriptions = 0;
 };
 

@@ -10,8 +10,9 @@
 //   - Fence placement: R-1 interior fences at equal-mass quantiles of the
 //     subscription interval-center distribution (approximated at bin
 //     resolution by the mean of the lower- and upper-endpoint cumulative
-//     histograms). Equal mass is what the online rebalancer converges to,
-//     so the estimate prices the steady state, not the cold start.
+//     histograms). PlanFences emits exactly these fences, and it is the
+//     engine's only fence planner (advisor switches and RebalanceOnce),
+//     so the estimate prices the fences the engine would install.
 //   - Expected shard visits per event: an event visits one slice per fence
 //     its interval crosses, plus its home slice, plus the overflow shard.
 //     Intervals crossing fence f at bin boundary t number

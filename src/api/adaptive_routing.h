@@ -46,10 +46,9 @@ struct AdaptiveRoutingOptions {
   /// dimension back and forth every window.
   double switch_threshold = 1.5;
 
-  /// Overflow-split trigger: straddler pressure (overflow residents plus
-  /// the rebalance planner's last predicted straddler spill, as a fraction
-  /// of all subscriptions) must reach this level... must be in (0, 1]
-  /// when enabled.
+  /// Overflow-split trigger: straddler pressure (catch-all overflow-shard
+  /// residents as a fraction of all subscriptions) must reach this
+  /// level... must be in (0, 1] when enabled.
   double split_straddler_threshold = 0.25;
 
   /// ...for this many consecutive advisor windows before the overflow

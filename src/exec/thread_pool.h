@@ -16,7 +16,7 @@
 // submitting caller's pin, because every task completes before that caller's
 // guard is released. Workers therefore never pin epochs themselves, and a
 // grace period can never deadlock on the pool: Synchronize() is only called
-// with no pin held (see SubscriptionEngine::MaybeAutoRebalance), and pinned
+// with no pin held (see SubscriptionEngine::MaybeAutoAdapt), and pinned
 // readers never block on the epoch publisher. Size an EpochManager's slot
 // hint from concurrency() times the expected concurrent callers.
 #pragma once

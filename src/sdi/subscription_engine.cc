@@ -14,6 +14,7 @@
 
 #include "adapt/pattern_tracker.h"
 #include "adapt/routing_advisor.h"
+#include "adapt/selectivity.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "exec/shard_queues.h"
@@ -39,6 +40,25 @@ uint32_t SliceOf(const std::vector<float>& bounds, float x) {
       std::upper_bound(bounds.begin(), bounds.end(), x) - bounds.begin());
 }
 
+/// The one fence-array check (range boundaries and overflow-split fences
+/// alike): between `min_size` and `max_size` entries, every value finite,
+/// strictly ascending. Returns null for a usable array, else what is wrong
+/// with it. Finiteness is checked per element, so a one-fence array —
+/// which has no adjacent pair for the ascent check — cannot smuggle in a
+/// NaN that would break SliceOf's ordering.
+const char* FenceArrayProblem(const std::vector<float>& fences,
+                              size_t min_size, size_t max_size) {
+  if (fences.size() < min_size || fences.size() > max_size) {
+    return "has the wrong number of fences";
+  }
+  for (size_t i = 0; i < fences.size(); ++i) {
+    if (!std::isfinite(fences[i])) return "must hold only finite values";
+    if (i > 0 && !(fences[i - 1] < fences[i])) {
+      return "must be strictly ascending";
+    }
+  }
+  return nullptr;
+}
 
 /// Shard-queue positions are executed in fixed chunks of this many queries.
 /// Chunk boundaries are fixed multiples (position p lives in chunk
@@ -129,7 +149,7 @@ struct SubscriptionEngine::EngineObs {
       : batches(r->GetCounter("accl_pipeline_batches_total",
                               "MatchBatch pipeline runs")),
         events(r->GetCounter("accl_pipeline_events_total",
-                             "events matched through the batch pipeline")),
+                             "events matched (Match and MatchBatch)")),
         events_routed(r->GetCounter(
             "accl_pipeline_events_routed_total",
             "per-shard event dispatches (one event may visit many shards)")),
@@ -146,6 +166,9 @@ struct SubscriptionEngine::EngineObs {
             "lost ready-stack head races (finalize contention)")),
         matches(r->GetCounter("accl_pipeline_matches_total",
                               "post-dedup subscription notifications")),
+        objects_verified(r->GetCounter(
+            "accl_pipeline_objects_verified_total",
+            "subscriptions verified against events, summed over shards")),
         batch_us(r->GetHistogram("accl_pipeline_batch_us",
                                  "MatchBatch end-to-end duration (us)")),
         boundary_moves(r->GetCounter("accl_rebalance_boundary_moves_total",
@@ -153,12 +176,6 @@ struct SubscriptionEngine::EngineObs {
         subs_migrated(r->GetCounter(
             "accl_rebalance_subscriptions_migrated_total",
             "subscriptions moved by the double-residency protocol")),
-        spill_total(r->GetCounter(
-            "accl_rebalance_predicted_spill_total",
-            "straddler spill the fence planner predicted (lifetime)")),
-        spill_last(r->GetGauge(
-            "accl_rebalance_predicted_spill_last",
-            "straddler spill predicted by the most recent fence move")),
         migration_us(r->GetHistogram(
             "accl_rebalance_migration_us",
             "scan+insert+grace+cleanup duration per routing change (us)")),
@@ -191,11 +208,10 @@ struct SubscriptionEngine::EngineObs {
   obs::Counter* trylock_failures;
   obs::Counter* ready_pop_retries;
   obs::Counter* matches;
+  obs::Counter* objects_verified;
   obs::Histogram* batch_us;
   obs::Counter* boundary_moves;
   obs::Counter* subs_migrated;
-  obs::Counter* spill_total;
-  obs::Gauge* spill_last;
   obs::Histogram* migration_us;
   obs::Counter* dimension_switches;
   obs::Counter* overflow_splits;
@@ -249,51 +265,32 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
           reg.BackendNames() + ")");
     }
   }
-  if (!(o.rebalance_trigger_ratio > 0.0)) {
-    return Status::InvalidArgument(
-        "rebalance_trigger_ratio must be > 0 (and not NaN)");
-  }
-  if (o.rebalance_fence_candidates < 1) {
-    return Status::InvalidArgument(
-        "rebalance_fence_candidates must be >= 1 (1 = the single-candidate "
-        "gap-halving planner)");
-  }
-  const bool custom = static_cast<bool>(o.partitioner);
   if (o.sharding == ShardingPolicy::kRange) {
-    if (custom) {
-      return Status::InvalidArgument(
-          "a custom partitioner is incompatible with ShardingPolicy::kRange "
-          "(it would silently disable routed dispatch and rebalancing; pick "
-          "one)");
-    }
     if (o.shards < 2) {
       return Status::InvalidArgument(
           "ShardingPolicy::kRange needs shards >= 2 (K-1 slice shards plus "
           "the overflow shard)");
     }
-    if (!o.range_boundaries.empty()) {
-      if (o.range_boundaries.size() != static_cast<size_t>(o.shards) - 2) {
-        return Status::InvalidArgument(
-            "range_boundaries must have exactly shards-2 interior fences "
-            "(or be empty for a uniform split)");
-      }
-      for (size_t i = 1; i < o.range_boundaries.size(); ++i) {
-        if (!(o.range_boundaries[i - 1] < o.range_boundaries[i])) {
-          return Status::InvalidArgument(
-              "range_boundaries must be strictly ascending");
-        }
-      }
+    const size_t n = static_cast<size_t>(o.shards) - 2;
+    const char* why =
+        o.range_boundaries.empty()
+            ? nullptr
+            : FenceArrayProblem(o.range_boundaries, n, n);
+    if (why != nullptr) {
+      return Status::InvalidArgument(
+          std::string("range_boundaries ") + why +
+          " (exactly shards-2 interior fences, or empty for a uniform "
+          "split)");
     }
   }
   const AdaptiveRoutingOptions& a = o.adaptive;
   if ((a.enabled || a.overflow_split_shards > 0 || a.fence_dim >= 0 ||
        a.split_dim >= 0) &&
-      (o.sharding != ShardingPolicy::kRange || custom)) {
+      o.sharding != ShardingPolicy::kRange) {
     return Status::InvalidArgument(
         "adaptive routing (adaptive.enabled / overflow_split_shards / "
-        "fence_dim / split_dim) requires ShardingPolicy::kRange without a "
-        "custom partitioner — other policies have no fence dimension to "
-        "adapt");
+        "fence_dim / split_dim) requires ShardingPolicy::kRange — kHashId "
+        "has no fence dimension to adapt");
   }
   if (a.fence_dim >= 0 &&
       static_cast<uint32_t>(a.fence_dim) >= schema.dims()) {
@@ -358,7 +355,7 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   options_.index.nd = schema_.dims();
   RoutingPlan plan;
   uint32_t physical_shards = options_.shards;
-  if (options_.sharding == ShardingPolicy::kRange && !options_.partitioner) {
+  if (options_.sharding == ShardingPolicy::kRange) {
     range_routed_ = true;
     num_range_shards_ = options_.shards - 1;
     // Split sub-shards are allocated up front (the shard table is never
@@ -389,7 +386,6 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   for (uint32_t s = 0; s < physical_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.index));
   }
-  routed_at_reset_.assign(physical_shards, 0);
   // ParallelFor includes the calling thread, so N-way matching needs N-1
   // workers; 0 or 1 requested threads means no pool at all.
   if (options_.match_threads > 1) {
@@ -474,20 +470,7 @@ uint32_t SubscriptionEngine::ShardFor(SubscriptionId id, const Box& box,
                                       const RoutingPlan& plan) const {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   if (k == 1) return 0;
-  if (options_.partitioner) return options_.partitioner(id, box, k) % k;
-  switch (options_.sharding) {
-    case ShardingPolicy::kLeadingDimension: {
-      const float center = 0.5f * (box.lo(0) + box.hi(0));
-      const float clamped =
-          std::min(std::max(center, kDomainMin), kDomainMax);
-      return std::min(k - 1, static_cast<uint32_t>(
-                                 clamped * static_cast<float>(k)));
-    }
-    case ShardingPolicy::kRange:
-      return RangeShardFor(plan, box);
-    case ShardingPolicy::kHashId:
-      break;
-  }
+  if (range_routed_) return RangeShardFor(plan, box);
   uint64_t state = id;
   return static_cast<uint32_t>(SplitMix64(&state) % k);
 }
@@ -916,15 +899,6 @@ Relation SubscriptionEngine::RelationFor(const Event& event,
              : Relation::kIntersects;
 }
 
-void SubscriptionEngine::RecordEvent(size_t matches, size_t verified,
-                                     double latency_ms) {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_.match_latency_ms.Add(latency_ms);
-  ++stats_.events_processed;
-  stats_.matches_per_event.Add(static_cast<double>(matches));
-  stats_.verified_per_event.Add(static_cast<double>(verified));
-}
-
 void SubscriptionEngine::Match(const Event& event,
                                std::vector<SubscriptionId>* out) {
   Match(event, options_.default_policy, out);
@@ -934,9 +908,9 @@ void SubscriptionEngine::Match(const Event& event, MatchPolicy policy,
                                std::vector<SubscriptionId>* out) {
   ACCL_TRACE_SPAN("match_event");
   Query q(event.box, RelationFor(event, policy));
-  WallTimer t;
   size_t matched = 0;
   size_t verified = 0;
+  size_t visits = 0;
   {
     // The pin covers routing AND shard execution: the grace period a
     // migration waits out must include readers that routed with the old
@@ -958,6 +932,7 @@ void SubscriptionEngine::Match(const Event& event, MatchPolicy policy,
       std::vector<uint32_t> route;
       RouteEvent(snap->plan, event.box, &route);
       for (const uint32_t s : route) run(*snap->shards[s]);
+      visits = route.size();
       // A migrating subscription may be double-resident in two routed
       // shards; the ObjectId sort makes duplicates adjacent and one
       // unique pass removes them (this is also what makes the routed
@@ -967,12 +942,15 @@ void SubscriptionEngine::Match(const Event& event, MatchPolicy policy,
       matched = out->size() - first;
     } else {
       for (const auto& sh : shards_) matched += run(*sh);
+      visits = shards_.size();
     }
-  }  // unpin before MaybeAutoRebalance/MaybeAutoAdapt: their grace-period
-     // waits would otherwise deadlock on our own pin
-  RecordEvent(matched, verified, t.ElapsedMs());
+  }  // unpin before MaybeAutoAdapt: an applied decision's grace-period
+     // wait would otherwise deadlock on our own pin
+  obs_->events->Add(1);
+  obs_->matches->Add(matched);
+  obs_->events_routed->Add(visits);
+  obs_->objects_verified->Add(verified);
   if (tracker_ != nullptr) tracker_->RecordEvent(event.box);
-  MaybeAutoRebalance(1);
   MaybeAutoAdapt(1);
 }
 
@@ -1162,8 +1140,8 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   }
   ACCL_DCHECK(ps.events_done.load(std::memory_order_relaxed) == ne);
   // Shard reads are done. Unpinning now shortens the grace period
-  // concurrent migrations wait for — and MaybeAutoRebalance below must
-  // not run pinned.
+  // concurrent migrations wait for — and MaybeAutoAdapt below must not
+  // run pinned.
   guard.Release();
 
   uint64_t trylock_fail_total = 0;
@@ -1179,30 +1157,16 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   obs_->trylock_failures->Add(trylock_fail_total);
   obs_->ready_pop_retries->Add(pop_retry_total);
   res->AggregateShards();
-  // Latency is read after the fan-out drains so the batch path reports the
-  // same end-to-end per-event cost Match() reports for its full path.
-  const double per_event_ms = t.ElapsedMs() / static_cast<double>(ne);
-  // Fold per-event values into local summaries OFF the lock, then merge:
-  // the stats lock is held O(1) per batch, not O(ne) (the former loop
-  // added the same averaged latency ne times while holding stats_mu_).
-  Summary matched_sum;
-  Summary verified_sum;
   uint64_t matched_total = 0;
+  uint64_t verified_total = 0;
   for (size_t e = 0; e < ne; ++e) {
-    matched_sum.Add(static_cast<double>(ps.matched[e]));
-    verified_sum.Add(static_cast<double>(ps.verified[e]));
     matched_total += ps.matched[e];
+    verified_total += ps.verified[e];
   }
   obs_->matches->Add(matched_total);
+  obs_->objects_verified->Add(verified_total);
   obs_->batch_us->Record(static_cast<uint64_t>(
       std::max(0.0, std::round(t.ElapsedMs() * 1000.0))));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.match_latency_ms.AddN(ne, per_event_ms);
-    stats_.events_processed += ne;
-    stats_.matches_per_event.Merge(matched_sum);
-    stats_.verified_per_event.Merge(verified_sum);
-  }
   if (tracker_ != nullptr) {
     // Off-lock fold (pooled accumulator), one tracker merge per batch.
     ps.pattern.Reset(schema_.dims());
@@ -1210,7 +1174,6 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
     tracker_->Record(ps.pattern);
   }
   ReleaseScratch(std::move(scratch));
-  MaybeAutoRebalance(ne);
   MaybeAutoAdapt(ne);
 }
 
@@ -1408,26 +1371,6 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
   obs_->chunks_stolen->Add(chunks_stolen);
 }
 
-void SubscriptionEngine::MaybeAutoRebalance(uint64_t events) {
-  if (!range_routed_ || options_.rebalance_period == 0) return;
-  if (events_since_check_.fetch_add(events, std::memory_order_relaxed) +
-          events <
-      options_.rebalance_period) {
-    return;
-  }
-  // If an auto-rebalance is already in flight there is nothing useful to
-  // queue behind it. An atomic flag — not mutex try_lock, which the
-  // standard allows to fail spuriously — keeps the skip deterministic for
-  // deterministic call sequences (single callers always pass).
-  if (rebalance_inflight_.exchange(true, std::memory_order_acquire)) return;
-  {
-    std::lock_guard<std::mutex> lk(rebalance_mu_);
-    events_since_check_.store(0, std::memory_order_relaxed);
-    RebalanceLocked(/*force=*/false);
-  }
-  rebalance_inflight_.store(false, std::memory_order_release);
-}
-
 void SubscriptionEngine::MaybeAutoAdapt(uint64_t events) {
   if (tracker_ == nullptr) return;
   if (adapt_events_since_window_.fetch_add(events,
@@ -1436,9 +1379,10 @@ void SubscriptionEngine::MaybeAutoAdapt(uint64_t events) {
       options_.adaptive.sample_window) {
     return;
   }
-  // Same deterministic-skip discipline as MaybeAutoRebalance: an atomic
-  // flag, not mutex try_lock, so single-caller sequences never skip a
-  // window at random.
+  // If a window evaluation is already in flight there is nothing useful
+  // to queue behind it. An atomic flag — not mutex try_lock, which the
+  // standard allows to fail spuriously — keeps the skip deterministic for
+  // deterministic call sequences (single callers always pass).
   if (adapt_inflight_.exchange(true, std::memory_order_acquire)) return;
   {
     std::lock_guard<std::mutex> lk(rebalance_mu_);
@@ -1461,8 +1405,6 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked() {
   st.split_slices = num_split_shards_;
   st.overflow_residents =
       shards_.back()->subs.load(std::memory_order_relaxed);
-  st.planner_predicted_spill =
-      static_cast<uint64_t>(std::max<int64_t>(0, obs_->spill_last->Value()));
   st.total_subscriptions =
       subscription_count_.load(std::memory_order_relaxed);
 
@@ -1486,12 +1428,8 @@ bool SubscriptionEngine::EvaluateAdaptiveLocked() {
       obs_->dimension_switches->Add(1);
       ACCL_TRACE_INSTANT("adapt_dimension_switch", d.dim);
       // The old pattern argued for this switch; it must not immediately
-      // argue again. The rebalancer's load window resets with it.
+      // argue again.
       tracker_->ResetWindow();
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        routed_at_reset_[s] =
-            shards_[s]->routed.load(std::memory_order_relaxed);
-      }
       return true;
     }
     case adapt::RoutingDecision::Kind::kSplitOverflow: {
@@ -1538,9 +1476,6 @@ SubscriptionEngine::RebalanceStats SubscriptionEngine::rebalance_stats()
   RebalanceStats st;
   st.boundary_moves = obs_->boundary_moves->Value();
   st.subscriptions_migrated = obs_->subs_migrated->Value();
-  st.predicted_straddler_spill = obs_->spill_total->Value();
-  st.last_predicted_straddler_spill =
-      static_cast<uint64_t>(std::max<int64_t>(0, obs_->spill_last->Value()));
   st.dimension_switches = obs_->dimension_switches->Value();
   st.overflow_splits = obs_->overflow_splits->Value();
   st.straddlers_split = obs_->straddlers_split->Value();
@@ -1550,7 +1485,23 @@ SubscriptionEngine::RebalanceStats SubscriptionEngine::rebalance_stats()
 bool SubscriptionEngine::RebalanceOnce() {
   if (!range_routed_) return false;
   std::lock_guard<std::mutex> lk(rebalance_mu_);
-  return RebalanceLocked(/*force=*/true);
+  // Migrations run only under rebalance_mu_, so nothing is double-resident
+  // now and the fold sees every live subscription exactly once.
+  adapt::PatternAccumulator residents;
+  residents.Reset(schema_.dims());
+  for (const auto& sh : shards_) {
+    std::lock_guard<std::mutex> shard_lk(sh->mu);
+    sh->index->ForEachObject(
+        [&](ObjectId, BoxView b) { residents.AddSubscription(b); });
+  }
+  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
+  std::vector<float> fences = adapt::SelectivityAnalyzer::PlanFences(
+      residents.data(), static_cast<Dim>(plan.dim), num_range_shards_ - 1);
+  if (fences == plan.bounds) return false;
+  plan.bounds = std::move(fences);
+  ApplyRoutingLocked(std::move(plan), AllShardIds());
+  obs_->boundary_moves->Add(1);
+  return true;
 }
 
 std::vector<uint32_t> SubscriptionEngine::AllShardIds() const {
@@ -1569,12 +1520,8 @@ std::vector<uint32_t> SubscriptionEngine::OverflowShardIds() const {
 
 bool SubscriptionEngine::SetRangeBoundaries(const std::vector<float>& bounds) {
   if (!range_routed_) return false;
-  if (bounds.size() != static_cast<size_t>(num_range_shards_) - 1) {
-    return false;
-  }
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    if (!(bounds[i - 1] < bounds[i])) return false;
-  }
+  const size_t n = static_cast<size_t>(num_range_shards_) - 1;
+  if (FenceArrayProblem(bounds, n, n) != nullptr) return false;
   std::lock_guard<std::mutex> lk(rebalance_mu_);
   // Arbitrary table change: any shard may hold re-routed residents, so the
   // migration scan covers all of them (overflow drains too). The fence
@@ -1583,9 +1530,6 @@ bool SubscriptionEngine::SetRangeBoundaries(const std::vector<float>& bounds) {
   plan.bounds = bounds;
   ApplyRoutingLocked(std::move(plan), AllShardIds());
   obs_->boundary_moves->Add(1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-  }
   return true;
 }
 
@@ -1603,20 +1547,14 @@ bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
   obs_->dimension_switches->Add(1);
   ACCL_TRACE_INSTANT("adapt_dimension_switch", dim);
   if (tracker_ != nullptr) tracker_->ResetWindow();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-  }
   return true;
 }
 
 bool SubscriptionEngine::SetOverflowSplit(uint32_t dim,
                                           const std::vector<float>& fences) {
-  if (!range_routed_ || num_split_shards_ == 0 || dim >= schema_.dims()) {
+  if (!range_routed_ || num_split_shards_ == 0 || dim >= schema_.dims() ||
+      FenceArrayProblem(fences, 0, num_split_shards_ - 1) != nullptr) {
     return false;
-  }
-  if (fences.size() + 1 > num_split_shards_) return false;
-  for (size_t i = 1; i < fences.size(); ++i) {
-    if (!(fences[i - 1] < fences[i])) return false;
   }
   std::lock_guard<std::mutex> lk(rebalance_mu_);
   RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
@@ -1639,217 +1577,6 @@ bool SubscriptionEngine::ClearOverflowSplit() {
   plan.split_dim = -1;
   plan.split_bounds.clear();
   ApplyRoutingLocked(std::move(plan), OverflowShardIds());
-  return true;
-}
-
-SubscriptionEngine::RebalanceLoadSnapshot
-SubscriptionEngine::GetRebalanceLoadSnapshot() const {
-  RebalanceLoadSnapshot snap;
-  if (!range_routed_) return snap;
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
-  const size_t rk = num_range_shards_;
-  snap.range_loads.resize(rk);
-  for (size_t s = 0; s < rk; ++s) {
-    const uint64_t window =
-        shards_[s]->routed.load(std::memory_order_relaxed) -
-        routed_at_reset_[s];
-    snap.range_loads[s] =
-        shards_[s]->subs.load(std::memory_order_relaxed) + window;
-  }
-  // The whole overflow family: split sub-shards plus the catch-all (every
-  // resident there is a straddler of the current primary fences).
-  for (size_t s = rk; s < shards_.size(); ++s) {
-    snap.overflow_subscriptions +=
-        shards_[s]->subs.load(std::memory_order_relaxed);
-  }
-  snap.total_subscriptions =
-      subscription_count_.load(std::memory_order_relaxed);
-  snap.straddler_fraction =
-      snap.total_subscriptions == 0
-          ? 0.0
-          : static_cast<double>(snap.overflow_subscriptions) /
-                static_cast<double>(snap.total_subscriptions);
-  return snap;
-}
-
-bool SubscriptionEngine::RebalanceLocked(bool force) {
-  const size_t rk = num_range_shards_;  // overflow family excluded
-  if (rk < 2) return false;
-
-  // Window loads: resident subscriptions plus events routed since the last
-  // rebalance — a shard can be hot because it is big or because the event
-  // stream concentrates on it, and a boundary move helps with both.
-  std::vector<uint64_t> load(rk);
-  uint64_t total = 0;
-  for (size_t s = 0; s < rk; ++s) {
-    const uint64_t window = shards_[s]->routed.load(std::memory_order_relaxed) -
-                            routed_at_reset_[s];
-    load[s] = shards_[s]->subs.load(std::memory_order_relaxed) + window;
-    total += load[s];
-  }
-  if (!force) {
-    if (total < options_.rebalance_min_load) return false;
-    uint64_t hottest = 0;
-    for (size_t s = 0; s < rk; ++s) hottest = std::max(hottest, load[s]);
-    const double mean = static_cast<double>(total) / static_cast<double>(rk);
-    if (static_cast<double>(hottest) <
-        options_.rebalance_trigger_ratio * mean) {
-      return false;
-    }
-  }
-  // Pick the adjacent pair with the largest load gap (only adjacent slices
-  // share a fence, so only they can trade residents with one boundary
-  // move); the heavier side donates.
-  size_t best_f = 0;
-  uint64_t best_gap = 0;
-  for (size_t f = 0; f + 1 < rk; ++f) {
-    const uint64_t gap = load[f] > load[f + 1] ? load[f] - load[f + 1]
-                                               : load[f + 1] - load[f];
-    if (gap > best_gap) {
-      best_gap = gap;
-      best_f = f;
-    }
-  }
-  if (best_gap == 0) return false;  // flat profile: nothing to gain
-  const size_t h = load[best_f] >= load[best_f + 1] ? best_f : best_f + 1;
-  const size_t l = h == best_f ? best_f + 1 : best_f;
-
-  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  std::vector<float>& bounds = plan.bounds;
-  const Dim dim = static_cast<Dim>(plan.dim);
-  // Donor residents' fence-dimension extents. The move is ranked by the
-  // endpoint FACING the receiver: a donor resident leaves when the moving
-  // fence passes that endpoint — shedding downward, every box with
-  // lo0 < fence leaves (to the receiver if it fits, to overflow if it
-  // straddles); shedding upward, every box with hi0 >= fence leaves.
-  // Ranking by the receiver-facing endpoint therefore predicts the donor's
-  // loss *exactly*, straddlers included — ranking by the far endpoint
-  // counts only the boxes that clear the fence entirely, so the straddler
-  // spill to overflow comes on top of the plan, overshoots in dense
-  // regions, and makes repeated passes slosh the same residents back and
-  // forth forever. Both endpoints are kept so the planner can also report
-  // how much of the loss is straddler spill.
-  std::vector<std::pair<float, float>> exts;  // (lo0, hi0)
-  {
-    std::lock_guard<std::mutex> lk(shards_[h]->mu);
-    exts.reserve(shards_[h]->index->size());
-    shards_[h]->index->ForEachObject([&](ObjectId, BoxView b) {
-      exts.emplace_back(b.lo(dim), b.hi(dim));
-    });
-  }
-  if (exts.size() < 2) return false;
-  const bool receiver_below = l < h;
-  std::sort(exts.begin(), exts.end(),
-            [receiver_below](const auto& a, const auto& b) {
-              return receiver_below ? a.first < b.first : a.second < b.second;
-            });
-  // Shed enough residents to halve the pair's load gap (per-resident load
-  // approximated as load[h]/exts.size()). Halving — not equal-splitting the
-  // donor — is what makes repeated passes converge to a fixed point; a
-  // move that rounds to zero residents is below the resolution of the
-  // boundary and refused.
-  size_t m = static_cast<size_t>(
-      static_cast<uint64_t>(exts.size()) * best_gap / (2 * load[h]));
-  if (m == 0) return false;
-  m = std::min(m, exts.size() - 1);
-
-  // The index (into bounds) of the fence the pair shares. Receiver below:
-  // bounds[h-1] moves up past the shed residents' smallest lower
-  // endpoints; receiver above: bounds[h] moves down past their largest
-  // upper endpoints.
-  const size_t fence = receiver_below ? h - 1 : h;
-
-  // Fence position implied by shedding `j` residents, or false when the
-  // position is unusable (mass sits on the current fence, or the move
-  // would break the boundary array's strict ascent).
-  const auto fence_for = [&](size_t j, float* out_fence) -> bool {
-    if (receiver_below) {
-      const float f = exts[j].first;
-      if (f <= bounds[fence]) return false;
-      *out_fence = f;
-      return true;
-    }
-    const float f = exts[exts.size() - j].second;
-    if (f >= bounds[fence]) return false;
-    if (fence >= 1 && f <= bounds[fence - 1]) return false;
-    *out_fence = f;
-    return true;
-  };
-  // Straddler spill a fence position predicts: departing donors that
-  // straddle the NEW fence land in the overflow shard instead of the
-  // receiver. Donor residents lie entirely inside slice h, so the moved
-  // fence is the only one they can straddle.
-  const auto spill_for = [&](float f) {
-    uint64_t spill = 0;
-    for (const auto& [lo0, hi0] : exts) {
-      if (lo0 < f && hi0 >= f) ++spill;
-    }
-    return spill;
-  };
-
-  // Overflow-aware fence placement: the exact halving count m is one
-  // candidate; the planner also evaluates shed counts within ±25% of m —
-  // every candidate still roughly halves the load gap — and deviates from
-  // m only for a candidate predicting less than HALF of m's straddler
-  // spill (tie-breaking toward m). A fence repeatedly cutting a dense
-  // region is what inflates the overflow shard (every routed event pays an
-  // overflow visit), so trading a quarter of the balance step for a fence
-  // that lands in a gap is a good deal — but small spill differences must
-  // not win, or the planner drifts off the halving point at every pass and
-  // repeated passes converge noticeably slower.
-  // rebalance_fence_candidates == 1 reproduces the single-candidate
-  // planner exactly.
-  const size_t n_cand =
-      std::max<uint32_t>(1, options_.rebalance_fence_candidates);
-  const size_t j_lo = n_cand == 1 ? m : std::max<size_t>(1, m - m / 4);
-  const size_t j_hi = n_cand == 1 ? m : std::min(exts.size() - 1, m + m / 4);
-  float fence_m = 0.0f;
-  const bool have_m = fence_for(m, &fence_m);
-  const uint64_t spill_m = have_m ? spill_for(fence_m) : 0;
-  bool have = false;
-  float new_fence = 0.0f;
-  uint64_t best_spill = 0;
-  size_t best_dist = 0;
-  for (size_t c = 0; c < n_cand; ++c) {
-    const size_t j =
-        n_cand == 1
-            ? m
-            : j_lo + (j_hi - j_lo) * c / std::max<size_t>(1, n_cand - 1);
-    float f;
-    if (!fence_for(j, &f)) continue;
-    const uint64_t spill = spill_for(f);
-    const size_t dist = j > m ? j - m : m - j;
-    if (!have || spill < best_spill ||
-        (spill == best_spill && dist < best_dist)) {
-      have = true;
-      new_fence = f;
-      best_spill = spill;
-      best_dist = dist;
-    }
-  }
-  if (!have) return false;  // no candidate clears the current fences
-  if (have_m && 2 * best_spill >= spill_m) {
-    // The alternatives don't save enough: stay on the exact halving point.
-    new_fence = fence_m;
-    best_spill = spill_m;
-  }
-  bounds[fence] = new_fence;
-
-  obs_->spill_last->Set(static_cast<int64_t>(best_spill));
-  obs_->spill_total->Add(best_spill);
-
-  // Only the donor's residents and the overflow family's straddlers can
-  // be re-routed by a single-fence move (the receiver's slice only grew),
-  // so the migration scan — and its locks — touch exactly those shards.
-  // The family includes active split sub-shards: the moved fence can
-  // un-straddle their residents too.
-  std::vector<uint32_t> scan{static_cast<uint32_t>(h)};
-  for (const uint32_t s : OverflowShardIds()) scan.push_back(s);
-  ApplyRoutingLocked(std::move(plan), scan);
-  obs_->boundary_moves->Add(1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    routed_at_reset_[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-  }
   return true;
 }
 
@@ -1992,16 +1719,6 @@ bool SubscriptionEngine::MakeRangeEvent(
   if (!schema_.MakeBox(ranges, &box)) return false;
   *out = Event::Range(std::move(box));
   return true;
-}
-
-EngineStats SubscriptionEngine::stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  return stats_;
-}
-
-void SubscriptionEngine::ResetStats() {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_ = EngineStats();
 }
 
 }  // namespace accl

@@ -10,14 +10,14 @@
 //
 // Scale-out (sharding): the subscription database can be partitioned across
 // K independent AdaptiveIndex shards (EngineOptions::shards). Each
-// subscription lives in exactly one shard, chosen by a pluggable
-// partitioner; per-shard answers are merged deterministically (sorted by
-// ObjectId), so the match sets are byte-identical to a single-shard
-// engine's. Reads fan out concurrently across shards on the engine's
-// thread pool; all per-shard work — including Execute's statistics updates
-// and the adaptive reorganization it may trigger — runs behind that
-// shard's mutex, so the reorganization logic itself is untouched by
-// concurrency.
+// subscription lives in exactly one shard, chosen by its id's hash
+// (kHashId, events broadcast) or by its box (kRange, events routed);
+// per-shard answers are merged deterministically (sorted by ObjectId), so
+// the match sets are byte-identical to a single-shard engine's. Reads fan
+// out concurrently across shards on the engine's thread pool; all
+// per-shard work — including Execute's statistics updates and the
+// adaptive reorganization it may trigger — runs behind that shard's mutex,
+// so the reorganization logic itself is untouched by concurrency.
 //
 // Range-routed dispatch (ShardingPolicy::kRange): shards 0..K-2 own
 // contiguous slices of the *fence dimension's* domain (dimension 0 by
@@ -39,12 +39,12 @@
 // selective, re-fences the engine on that dimension online — through the
 // same epoch-snapshot + double-residency migration rebalancing uses, so
 // match sets stay exact throughout. When the overflow shard stays hot
-// under well-placed fences (sustained straddler pressure, fed by the
-// rebalance planner's predicted_straddler_spill signal), the advisor
-// splits it on a second dimension into pre-allocated sub-shards: a
-// straddler whose split-dimension interval fits one split slice moves to
-// that sub-shard, and events visit only the sub-shards their own
-// split-dimension interval overlaps instead of one monolithic overflow.
+// under well-placed fences (sustained straddler pressure: overflow
+// residents over all subscriptions), the advisor splits it on a second
+// dimension into pre-allocated sub-shards: a straddler whose
+// split-dimension interval fits one split slice moves to that sub-shard,
+// and events visit only the sub-shards their own split-dimension interval
+// overlaps instead of one monolithic overflow.
 //
 // Epoch-published routing snapshots: the fence array, the shard handle
 // table and a version number live in one immutable RoutingSnapshot behind
@@ -63,7 +63,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,7 +77,6 @@
 #include "core/adaptive_index.h"
 #include "exec/epoch.h"
 #include "exec/thread_pool.h"
-#include "util/summary.h"
 
 namespace accl {
 
@@ -115,11 +113,6 @@ enum class ShardingPolicy : uint8_t {
   /// Mix the subscription id through SplitMix64 and take it mod K. Spreads
   /// load evenly regardless of the subscription distribution.
   kHashId = 0,
-  /// Partition the leading dimension's box center into K equal slices.
-  /// Keeps spatially close subscriptions together, at the cost of possible
-  /// load skew. Events are still broadcast (the center says nothing about
-  /// extents, so no shard can be skipped).
-  kLeadingDimension,
   /// Range partitioning with routed, non-broadcast event dispatch: shards
   /// 0..K-2 own contiguous slices of the fence dimension (dimension 0
   /// unless adaptive.fence_dim or the online advisor says otherwise), the
@@ -129,14 +122,6 @@ enum class ShardingPolicy : uint8_t {
   /// adaptive).
   kRange,
 };
-
-/// Custom partitioner: maps (id, normalized subscription box, shard count)
-/// to a shard. The result is taken mod the shard count. A default
-/// (empty) function means "use `sharding`"; combining a partitioner with
-/// ShardingPolicy::kRange is rejected by validation (the partitioner would
-/// silently disable routing and rebalancing).
-using ShardPartitionFn =
-    std::function<uint32_t(SubscriptionId, const Box&, uint32_t)>;
 
 /// An incoming publication.
 struct Event {
@@ -148,14 +133,6 @@ struct Event {
 
   bool is_point = true;
   Box box;  ///< degenerate for point events
-};
-
-/// Aggregate engine statistics.
-struct EngineStats {
-  uint64_t events_processed = 0;
-  Summary matches_per_event;
-  Summary verified_per_event;
-  Summary match_latency_ms;
 };
 
 /// Tuning for the engine; forwards the index knobs.
@@ -172,30 +149,12 @@ struct EngineOptions {
   uint32_t match_threads = 0;
   /// How subscriptions are assigned to shards (ignored when K == 1).
   ShardingPolicy sharding = ShardingPolicy::kHashId;
-  /// Overrides `sharding` when set. Incompatible with kRange (validated).
-  ShardPartitionFn partitioner;
 
-  // ---- kRange knobs (ignored by the other policies) ----
-  /// Initial interior boundaries: strictly ascending, size K-2 (the K-1
-  /// range shards need K-2 interior fences; the implicit outer fences are
-  /// ±infinity). Empty = uniform split of [0,1] into K-1 slices.
+  /// kRange only: initial interior boundaries — finite, strictly
+  /// ascending, size K-2 (the K-1 range shards need K-2 interior fences;
+  /// the implicit outer fences are ±infinity). Empty = uniform split of
+  /// [0,1] into K-1 slices.
   std::vector<float> range_boundaries;
-  /// Events between automatic load-imbalance checks; 0 = rebalance only on
-  /// explicit RebalanceOnce()/SetRangeBoundaries() calls.
-  uint32_t rebalance_period = 0;
-  /// Auto-rebalance triggers when the hottest range shard's window load
-  /// (resident subscriptions + events routed since the last rebalance)
-  /// exceeds this multiple of the mean range-shard load. Must be > 0.
-  double rebalance_trigger_ratio = 1.5;
-  /// Auto-rebalance ignores imbalance until the total window load reaches
-  /// this floor (tiny shards are cheap to visit; moving them is not).
-  uint64_t rebalance_min_load = 512;
-  /// Fence positions RebalanceOnce evaluates per move (>= 1). 1 reproduces
-  /// the single-candidate gap-halving planner; larger values let the
-  /// planner pick, among shed counts within ±25% of the exact halving
-  /// count (so every candidate still roughly halves the load gap), the
-  /// fence predicting the least straddler spill into the overflow shard.
-  uint32_t rebalance_fence_candidates = 9;
 
   /// Workload-adaptive routing: online fence-dimension selection and
   /// overflow-shard splitting (kRange only; see api/adaptive_routing.h).
@@ -213,10 +172,10 @@ struct EngineOptions {
 ///     single consistent table, execute on the selected shards, unpin.
 ///     The only locks a match takes are the per-shard mutexes (required:
 ///     AdaptiveIndex::Execute is a logical read but a physical write — it
-///     updates the adaptation statistics) and, once at the end, a
-///     dedicated stats mutex. A match never blocks behind a rebalance; a
-///     rebalance never blocks behind a match except for the bounded grace
-///     period below.
+///     updates the adaptation statistics). Match statistics are registry
+///     counters (metrics()), lock-free relaxed adds. A match never blocks
+///     behind a rebalance; a rebalance never blocks behind a match except
+///     for the bounded grace period below.
 ///
 ///   - Subscribe/SubscribeBatch/Unsubscribe may be called concurrently
 ///     from any threads. kRange subscribes serialize against rebalances
@@ -247,11 +206,11 @@ struct EngineOptions {
 class SubscriptionEngine {
  public:
   /// Validates user-supplied configuration: shard count >= 1, kRange needs
-  /// K >= 2 and no custom partitioner, boundary arrays must have size K-2
-  /// and be strictly ascending, trigger ratio > 0, a schema with >= 1
-  /// attribute, and index knobs the structure can actually run with
-  /// (division_factor >= 2, max_clusters >= 1). match_threads == 0 is
-  /// valid (caller-thread execution).
+  /// K >= 2, boundary arrays must have size K-2 and be finite and strictly
+  /// ascending, a schema with >= 1 attribute, and index knobs the
+  /// structure can actually run with (division_factor >= 2,
+  /// max_clusters >= 1). match_threads == 0 is valid (caller-thread
+  /// execution).
   static Status ValidateOptions(const AttributeSchema& schema,
                                 const EngineOptions& options);
 
@@ -297,18 +256,20 @@ class SubscriptionEngine {
   }
 
   /// Matches an event against the database; appends notified subscription
-  /// ids to `*out`. For broadcast policies the appended ids are in
-  /// shard-major order (with one shard this is exactly the classic
-  /// engine's order); for kRange they are sorted ascending by ObjectId and
-  /// deduplicated (double-residency may surface a migrating subscription
-  /// in two shards). Uses the default policy unless overridden.
+  /// ids to `*out`. For kHashId the appended ids are in shard-major order
+  /// (with one shard this is exactly the classic engine's order); for
+  /// kRange they are sorted ascending by ObjectId and deduplicated
+  /// (double-residency may surface a migrating subscription in two
+  /// shards). Uses the default policy unless overridden. Feeds the same
+  /// accl_pipeline_* registry counters as MatchBatch (events, matches,
+  /// events routed, objects verified).
   void Match(const Event& event, std::vector<SubscriptionId>* out);
   void Match(const Event& event, MatchPolicy policy,
              std::vector<SubscriptionId>* out);
 
   /// Matches a batch of events through the streamed shard-affine pipeline:
-  /// per-shard CSR work queues (broadcast policies enqueue every event on
-  /// every shard, kRange only on the shards the router selects, under one
+  /// per-shard CSR work queues (kHashId enqueues every event on every
+  /// shard, kRange only on the shards the router selects, under one
   /// snapshot for the whole batch) are executed in fixed-size chunks by
   /// shard-affine pool workers, and each event is finalized (sorted,
   /// deduplicated, emitted) by whichever worker completes its last shard
@@ -320,7 +281,7 @@ class SubscriptionEngine {
   /// events dispatched to shard s, every entry carries the
   /// `resident_subscriptions` gauge, and under kRange the entry named by
   /// `out->overflow_shard` carries the `overflow_subscriptions` pressure
-  /// gauge (kNoOverflowShard for broadcast policies — explicitly absent,
+  /// gauge (kNoOverflowShard under kHashId — explicitly absent,
   /// not silently zero). `out->routing_version` / `out->epoch` record the
   /// snapshot and epoch the batch ran under. Reusing one result object
   /// across batches is allocation-free at steady state (capacity-
@@ -335,7 +296,7 @@ class SubscriptionEngine {
   /// arbitrary and calls may come concurrently from several pool workers
   /// (see the MatchSink contract in api/batch.h). Emitted spans are
   /// byte-identical to what the materializing overload would have stored
-  /// at the same event index. Engine statistics are recorded identically.
+  /// at the same event index. Registry counters are fed identically.
   void MatchBatch(Span<const Event> events, MatchSink* sink);
   void MatchBatch(Span<const Event> events, MatchPolicy policy,
                   MatchSink* sink);
@@ -348,10 +309,6 @@ class SubscriptionEngine {
   /// Convenience: builds a range event from predicates.
   bool MakeRangeEvent(const std::vector<AttributeRange>& ranges,
                       Event* out) const;
-
-  /// Snapshot of the running statistics (copies under the stats lock).
-  EngineStats stats() const;
-  void ResetStats();
 
   // ---- Shard introspection ----
   size_t shard_count() const { return shards_.size(); }
@@ -391,34 +348,27 @@ class SubscriptionEngine {
   /// Version of the current routing snapshot; bumped on every publish.
   uint64_t routing_version() const;
 
-  /// Installs `bounds` (strictly ascending, size shard_count()-2) as the
-  /// boundary array and migrates every subscription whose target shard
-  /// changed — including draining overflow subscriptions that no longer
-  /// straddle. Returns false (and changes nothing) when the engine is not
-  /// range-routed or the array is malformed.
+  /// Installs `bounds` (finite, strictly ascending, one fence fewer than
+  /// the range slices) as the boundary array and migrates every
+  /// subscription whose target shard changed — including draining overflow
+  /// subscriptions that no longer straddle. Returns false (and changes
+  /// nothing) when the engine is not range-routed or the array is
+  /// malformed.
   bool SetRangeBoundaries(const std::vector<float>& bounds);
 
-  /// One forced load-balancing step: picks the range shard with the
-  /// highest window load, moves its boundary toward it so roughly half of
-  /// its subscriptions re-route to its lighter neighbor, and migrates
-  /// them (double-residency protocol; see the class comment). Returns
-  /// true when a boundary moved. No-op (false) for non-range engines,
-  /// K < 3, or when no productive move exists.
+  /// Re-fences the current fence dimension at the equal-mass quantiles of
+  /// the live subscriptions: folds every resident into a pattern
+  /// histogram, plans the fences with SelectivityAnalyzer::PlanFences (the
+  /// advisor's planner), and migrates through the double-residency
+  /// protocol (see the class comment). Returns true when the fences moved;
+  /// false for non-range engines or when the plan equals the current
+  /// fences (so a second call right after a first one is a no-op).
   bool RebalanceOnce();
 
   /// Lifetime rebalancing counters.
   struct RebalanceStats {
     uint64_t boundary_moves = 0;
     uint64_t subscriptions_migrated = 0;
-    /// Straddler spill the rebalance planner predicted its fence moves
-    /// would send to the overflow shard (donor residents that straddle the
-    /// *new* fence instead of moving cleanly to the receiver). Lifetime
-    /// sum and last move's value. Acted on twice: the planner's
-    /// overflow-aware fence placement avoids high-spill fences, and the
-    /// adaptive advisor folds the last value into the straddler-pressure
-    /// signal that triggers an overflow split.
-    uint64_t predicted_straddler_spill = 0;
-    uint64_t last_predicted_straddler_spill = 0;
     /// Online fence-dimension switches executed (advisor or manual).
     uint64_t dimension_switches = 0;
     /// Overflow-shard split activations (advisor or manual), and the
@@ -430,19 +380,6 @@ class SubscriptionEngine {
   /// Thin atomic snapshot read of the registry-backed rebalance counters
   /// (safe from any thread, racy-exact like every obs::Counter read).
   RebalanceStats rebalance_stats() const;
-
-  /// The load signal the rebalancer acts on, plus overflow pressure:
-  /// per-range-shard window loads (residents + events routed since the
-  /// last rebalance), the overflow shard's resident count, and the
-  /// straddler fraction (overflow residents / all residents). Empty for
-  /// non-range engines.
-  struct RebalanceLoadSnapshot {
-    std::vector<uint64_t> range_loads;
-    uint64_t overflow_subscriptions = 0;
-    uint64_t total_subscriptions = 0;
-    double straddler_fraction = 0.0;
-  };
-  RebalanceLoadSnapshot GetRebalanceLoadSnapshot() const;
 
   // ---- Adaptive routing (kRange only; see api/adaptive_routing.h) ----
 
@@ -468,8 +405,9 @@ class SubscriptionEngine {
   bool SetRoutingDimension(uint32_t dim);
 
   /// Manually activates (or re-fences) the overflow split on `dim` with
-  /// the given strictly ascending interior fences (`fences.size() + 1`
-  /// split slices; at most overflow_split_capacity()). Catch-all
+  /// the given finite, strictly ascending interior fences
+  /// (`fences.size() + 1` split slices; at most
+  /// overflow_split_capacity()). Catch-all
   /// straddlers whose `dim` interval fits one split slice migrate into
   /// that sub-shard. Returns false for non-range engines, zero split
   /// capacity, a dimension outside the schema, or a malformed fence array.
@@ -502,9 +440,11 @@ class SubscriptionEngine {
   /// wired into this engine (epoch manager, WAL, checkpointer, log
   /// shipper) registers its metrics here under the accl_* naming scheme;
   /// the engine's own pipeline/rebalance/adaptive counters are
-  /// registry-owned. Components attach on wiring (AttachDurability /
-  /// SetCheckpointer / LogShipper::Create), so a volatile engine's
-  /// registry simply has no accl_wal_*/accl_ckpt_*/accl_repl_* entries.
+  /// registry-owned. This is the engine's only statistics plane: callers
+  /// wanting per-phase figures diff two Snapshot()s with DeltaSince.
+  /// Components attach on wiring (AttachDurability / SetCheckpointer /
+  /// LogShipper::Create), so a volatile engine's registry simply has no
+  /// accl_wal_*/accl_ckpt_*/accl_repl_* entries.
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Prometheus text exposition of the engine registry plus the
@@ -602,8 +542,7 @@ class SubscriptionEngine {
         : index(std::make_unique<AdaptiveIndex>(cfg)) {}
     std::mutex mu;  ///< serializes every index access (reads mutate stats)
     std::unique_ptr<AdaptiveIndex> index;
-    /// Lifetime events dispatched here (relaxed; observability + the
-    /// rebalancer's load signal).
+    /// Lifetime events dispatched here (relaxed; GetShardInfos).
     std::atomic<uint64_t> routed{0};
     /// Resident subscriptions (relaxed mirror of index->size(), readable
     /// without the shard lock; double-resident copies count once, at the
@@ -661,7 +600,6 @@ class SubscriptionEngine {
   void PublishSnapshot(RoutingPlan plan);
 
   static Relation RelationFor(const Event& event, MatchPolicy policy);
-  void RecordEvent(size_t matches, size_t verified, double latency_ms);
 
   // ---- Streamed batch pipeline (see MatchBatchImpl in the .cc) ----
 
@@ -701,13 +639,6 @@ class SubscriptionEngine {
                             const float* coords);
   void NotifyCheckpointer(uint64_t mutations);
 
-  /// Auto-rebalance hook, called after every match entry point (with no
-  /// epoch pinned: the grace-period wait inside would otherwise deadlock
-  /// on the caller's own pin).
-  void MaybeAutoRebalance(uint64_t events);
-  /// One boundary move; caller holds rebalance_mu_. `force` skips the
-  /// trigger-ratio/min-load gate.
-  bool RebalanceLocked(bool force);
   /// Double-residency migration: inserts re-routed subscriptions at their
   /// destinations, publishes `plan`, waits out the grace period, and
   /// erases the stale source copies. Caller holds rebalance_mu_. Returns
@@ -773,13 +704,6 @@ class SubscriptionEngine {
   /// itself or its migration scan sees the insert — a subscription can
   /// never be stranded in a shard the new table doesn't route to.
   mutable std::mutex rebalance_mu_;
-  /// Auto-rebalance in-flight flag (mutex try_lock may fail spuriously,
-  /// which would make deterministic replays skip triggers at random).
-  std::atomic<bool> rebalance_inflight_{false};
-  /// Per-shard routed-counter snapshot at the last rebalance; the window
-  /// load is routed - routed_at_reset_. Guarded by rebalance_mu_.
-  std::vector<uint64_t> routed_at_reset_;
-  std::atomic<uint64_t> events_since_check_{0};
 
   /// Adaptive routing state. Tracker and advisor exist only when
   /// options_.adaptive.enabled; the manual entry points
@@ -787,7 +711,8 @@ class SubscriptionEngine {
   /// is only ever called under rebalance_mu_.
   std::unique_ptr<adapt::QueryPatternTracker> tracker_;
   std::unique_ptr<adapt::RoutingAdvisor> advisor_;
-  /// Same deterministic-skip discipline as rebalance_inflight_.
+  /// Adapt-window in-flight flag (mutex try_lock may fail spuriously,
+  /// which would make deterministic replays skip windows at random).
   std::atomic<bool> adapt_inflight_{false};
   std::atomic<uint64_t> adapt_events_since_window_{0};
   /// Most recent advisor window's per-dimension estimates; its own tiny
@@ -799,22 +724,15 @@ class SubscriptionEngine {
   /// Match/MatchBatch.
   mutable std::mutex meta_mu_;
   SubscriptionId next_id_ = 0;
-  /// Owner shard of each live subscription (needed by Unsubscribe for
-  /// custom/spatial partitioners whose input box is long gone, and kept
-  /// exact across migrations).
+  /// Owner shard of each live subscription. Unsubscribe gets only an id,
+  /// and a kRange home changes with every migration, so the owner is
+  /// recorded (and kept exact across migrations) rather than recomputed.
   std::unordered_map<SubscriptionId, uint32_t> shard_of_;
   /// Second residency during migration: id -> destination shard, present
   /// exactly while a copy lives in both shards. Unsubscribe erases both;
   /// the migration's cleanup pass claims ownership by removing the entry.
   std::unordered_map<SubscriptionId, uint32_t> second_home_;
   std::atomic<size_t> subscription_count_{0};
-
-  /// Guards stats_ only (its own lock so the match path never contends
-  /// with id allocation or ownership updates). The batch path holds it
-  /// O(1) per batch: per-event values are folded into local Summaries off
-  /// the lock and merged/bulk-added in one step.
-  mutable std::mutex stats_mu_;
-  EngineStats stats_;
 
   /// Freelist of pipeline scratch objects (capacity-preserving reuse
   /// across batches; one per concurrent MatchBatch caller at peak).

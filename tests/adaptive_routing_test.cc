@@ -426,7 +426,7 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   // dimension can beat the current one by 1.5x (all fences cut the same
   // population), so the advisor must not switch — it must recognize the
   // sustained straddler pressure and split the overflow shard on a second
-  // dimension, acting on the observed residency + predicted spill signal.
+  // dimension, acting on the observed overflow residency.
   EngineOptions o;
   o.shards = 6;
   o.sharding = ShardingPolicy::kRange;
@@ -464,8 +464,7 @@ TEST(AdaptiveEngine, DenseCutWorkloadSplitsOverflowInsteadOfThrashing) {
   EXPECT_NE(static_cast<uint32_t>(st.split_dimension), st.fence_dimension);
   EXPECT_EQ(engine.overflow_split_dimension(), st.split_dimension);
   // The split must have physically relocated straddlers out of the
-  // catch-all (this is the counter that closes the old "predicted spill
-  // not yet acted on" gap).
+  // catch-all.
   EXPECT_GT(engine.rebalance_stats().straddlers_split, 0u);
   EXPECT_GE(engine.rebalance_stats().overflow_splits, 1u);
 

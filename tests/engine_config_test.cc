@@ -66,35 +66,6 @@ TEST(EngineConfig, RangeNeedsAtLeastTwoShards) {
   EXPECT_NE(st.message().find("kRange"), std::string::npos);
 }
 
-TEST(EngineConfig, RangeRejectsCustomPartitioner) {
-  // Silently letting the partitioner win would disable routing and
-  // rebalancing behind the caller's back; the combination is an error.
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.partitioner = [](SubscriptionId id, const Box&, uint32_t k) {
-    return static_cast<uint32_t>(id) % k;
-  };
-  Status st;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("partitioner"), std::string::npos);
-}
-
-TEST(EngineConfig, DefaultConstructedPartitionerMeansUnset) {
-  // An empty std::function is the documented "use `sharding`" value, not a
-  // null callable to crash on during the first Subscribe.
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.partitioner = ShardPartitionFn();        // explicit empty
-  Status st;
-  auto engine = SubscriptionEngine::Create(SchemaWithDims(2), o, &st);
-  ASSERT_TRUE(st.ok()) << st.message();
-  ASSERT_NE(engine, nullptr);
-  EXPECT_TRUE(engine->range_routed());
-}
-
 TEST(EngineConfig, BoundaryArraySizeAndOrderValidated) {
   EngineOptions o;
   o.shards = 5;  // needs exactly 3 interior fences
@@ -113,6 +84,17 @@ TEST(EngineConfig, BoundaryArraySizeAndOrderValidated) {
   o.range_boundaries = {0.25f, 0.5f, 0.75f};
   EXPECT_NE(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
   EXPECT_TRUE(st.ok());
+
+  // K = 3 has a single interior fence: no adjacent pair exists for the
+  // ascent check, so a NaN (or infinite) fence must be caught per element.
+  o.shards = 3;
+  for (const float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+    o.range_boundaries = {bad};
+    EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr)
+        << bad;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("finite"), std::string::npos) << st.message();
+  }
 }
 
 TEST(EngineConfig, EmptySchemaRejected) {
@@ -134,17 +116,6 @@ TEST(EngineConfig, IndexKnobsValidated) {
 
   o = EngineOptions{};
   o.index.max_clusters = 0;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-}
-
-TEST(EngineConfig, RebalanceTriggerRatioValidated) {
-  EngineOptions o;
-  Status st;
-  o.rebalance_trigger_ratio = 0.0;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  o.rebalance_trigger_ratio = std::nan("");
   EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(2), o, &st), nullptr);
   EXPECT_FALSE(st.ok());
 }
@@ -178,17 +149,6 @@ TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
   EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("overflow_split_shards"), std::string::npos);
-
-  // A custom partitioner disables range routing, so it conflicts too.
-  o = EngineOptions{};
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.partitioner = [](SubscriptionId id, const Box&, uint32_t k) {
-    return static_cast<uint32_t>(id) % k;
-  };
-  o.adaptive.enabled = true;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
 }
 
 TEST(EngineConfig, AdaptiveDimensionsMustNameSchemaDimensions) {

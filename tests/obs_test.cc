@@ -191,8 +191,10 @@ TEST(ObsRegistry, AttachedMetricsAreReadAndDetachable) {
   obs::Counter mine;
   reg.Attach("accl_test_attached_total", &mine, "externally owned");
   mine.Add(11);
-  const obs::MetricValue* v =
-      reg.Snapshot().Find("accl_test_attached_total");
+  // Find returns a pointer into the snapshot, so the snapshot must outlive
+  // every use of it.
+  const obs::MetricsSnapshot snap = reg.Snapshot();
+  const obs::MetricValue* v = snap.Find("accl_test_attached_total");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->counter, 11u);
   reg.Detach("accl_test_attached_total");
@@ -457,6 +459,43 @@ TEST(ObsEngineCoverage, DurableAdaptiveEngineExposesAllFamilies) {
   std::remove(ckpt_path.c_str());
 }
 
+TEST(ObsEngineCoverage, SingleEventMatchFeedsThePipelineCounters) {
+  // Match() callers must be as visible in the registry as MatchBatch()
+  // callers: N calls move the event counter by N and the match counter by
+  // the summed match count, and the exposition reports them.
+  EngineOptions o = RangeOpts(0);
+  o.adaptive = AdaptiveRoutingOptions{};
+  SubscriptionEngine engine(UnitSchema(), o);
+  Rng rng(17);
+  for (int i = 0; i < 300; ++i) {
+    engine.SubscribeBox(testutil::RandomBox(rng, kNd, 0.5f));
+  }
+  const obs::MetricsSnapshot base = engine.metrics().Snapshot();
+  constexpr uint64_t kCalls = 25;
+  uint64_t matched = 0;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    std::vector<SubscriptionId> out;
+    engine.Match(Event::Range(testutil::RandomBox(rng, kNd, 0.4f)), &out);
+    matched += out.size();
+  }
+  ASSERT_GT(matched, 0u);
+  const obs::MetricsSnapshot d = engine.metrics().Snapshot().DeltaSince(base);
+  EXPECT_EQ(d.Find("accl_pipeline_events_total")->counter, kCalls);
+  EXPECT_EQ(d.Find("accl_pipeline_matches_total")->counter, matched);
+  EXPECT_GT(d.Find("accl_pipeline_objects_verified_total")->counter, 0u);
+  // Routed visits agree with the per-shard lifetime dispatch counters.
+  uint64_t routed = 0;
+  for (const auto& info : engine.GetShardInfos()) {
+    routed += info.routed_events;
+  }
+  EXPECT_EQ(d.Find("accl_pipeline_events_routed_total")->counter, routed);
+  // No batch ran: the batch-only families stay untouched.
+  EXPECT_EQ(d.Find("accl_pipeline_batches_total")->counter, 0u);
+  EXPECT_NE(engine.DumpMetrics().find("accl_pipeline_events_total " +
+                                      std::to_string(kCalls)),
+            std::string::npos);
+}
+
 TEST(ObsEngineCoverage, FollowerExposesReplicationFamily) {
   const std::string wal_path = TempPath("obs_repl.wal");
   const std::string ckpt_path = TempPath("obs_repl.ck");
@@ -498,8 +537,8 @@ TEST(ObsEngineCoverage, FollowerExposesReplicationFamily) {
                   "accl_repl_records_applied_total", "accl_repl_cursor_lsn",
                   "accl_repl_lag_records", "accl_repl_ship_pass_us"},
                  "follower");
-  const obs::MetricValue* passes = shipper->engine()->metrics().Snapshot().Find(
-      "accl_repl_ship_passes_total");
+  const obs::MetricsSnapshot snap = shipper->engine()->metrics().Snapshot();
+  const obs::MetricValue* passes = snap.Find("accl_repl_ship_passes_total");
   ASSERT_NE(passes, nullptr);
   EXPECT_GE(passes->counter, 1u);
 

@@ -6,8 +6,9 @@
 // (SetOverflowSplit, ClearOverflowSplit) / epoch-drain points
 // (SynchronizeEpochs — forcing retired routing snapshots through the
 // grace period at arbitrary log positions) is replayed through sharded
-// kRange engines (several shard counts, thread counts, auto-rebalance and
-// split-capacity settings, one with the adaptive advisor live) and through
+// kRange engines (several shard counts, thread counts, periodic
+// RebalanceOnce cadences and split-capacity settings, one with the
+// adaptive advisor live) and through
 // the serial single-index engine; every batch's match sets — and an FNV
 // digest over the exact (event, id) assignment, the same oracle
 // bench_parallel_sdi gates on — must be identical. Boundary moves,
@@ -51,7 +52,9 @@ struct EngineConfig {
   uint32_t shards;
   uint32_t threads;
   ShardingPolicy policy;
-  uint32_t rebalance_period;  // 0 = manual only
+  /// Replay calls RebalanceOnce after every this many match batches, on
+  /// top of the log's own forced rebalances (0 = the log's only).
+  uint32_t rebalance_every;
   uint32_t split_capacity = 0;  // adaptive.overflow_split_shards
   bool adaptive = false;        // advisor live mid-log
 };
@@ -64,9 +67,6 @@ SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
   o.shards = cfg.shards;
   o.match_threads = cfg.threads;
   o.sharding = cfg.policy;
-  o.rebalance_period = cfg.rebalance_period;
-  o.rebalance_trigger_ratio = 1.3;
-  o.rebalance_min_load = 64;
   o.adaptive.overflow_split_shards = cfg.split_capacity;
   if (cfg.adaptive) {
     // Advisor decisions only have to be deterministic per engine config;
@@ -209,10 +209,12 @@ struct ReplayResult {
   uint64_t digest = kFnvOffsetBasis;
 };
 
-ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
+ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log,
+                    uint32_t rebalance_every = 0) {
   std::vector<SubscriptionId> live;
   ReplayResult r;
   uint64_t event_counter = 0;
+  uint64_t batches = 0;
   for (const Op& op : log) {
     switch (op.kind) {
       case Op::kSubscribe:
@@ -240,6 +242,9 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log) {
           r.digest = Fnv1a(r.digest, event_counter++);
           for (const ObjectId id : m) r.digest = Fnv1a(r.digest, id);
           r.matches.push_back(std::move(m));
+        }
+        if (rebalance_every != 0 && ++batches % rebalance_every == 0) {
+          engine.RebalanceOnce();
         }
         break;
       }
@@ -286,11 +291,11 @@ TEST(RebalanceFuzz, ShardedReplayMatchesSerialReplayAcrossSeeds) {
       {2, 0, ShardingPolicy::kRange, 0},
       {4, 0, ShardingPolicy::kRange, 0},
       {4, 3, ShardingPolicy::kRange, 0},
-      {4, 0, ShardingPolicy::kRange, 32},  // auto-rebalance mid-log
-      {6, 3, ShardingPolicy::kRange, 48},
+      {4, 0, ShardingPolicy::kRange, 5},  // periodic rebalance mid-log
+      {6, 3, ShardingPolicy::kRange, 7},
       {4, 2, ShardingPolicy::kHashId, 0},  // broadcast cross-check
-      {4, 0, ShardingPolicy::kRange, 0, 2},   // split toggles live
-      {5, 3, ShardingPolicy::kRange, 40, 3},  // splits + auto-rebalance
+      {4, 0, ShardingPolicy::kRange, 0, 2},  // split toggles live
+      {5, 3, ShardingPolicy::kRange, 6, 3},  // splits + periodic rebalance
       {5, 2, ShardingPolicy::kRange, 0, 2, true},  // advisor adapts mid-log
   };
   for (const uint64_t seed : {11ull, 2026ull, 777ull, 31415ull}) {
@@ -300,21 +305,21 @@ TEST(RebalanceFuzz, ShardedReplayMatchesSerialReplayAcrossSeeds) {
     const ReplayResult expected = Replay(serial, log);
     for (const EngineConfig& cfg : configs) {
       SubscriptionEngine engine = MakeEngine(cfg);
-      const ReplayResult got = Replay(engine, log);
+      const ReplayResult got = Replay(engine, log, cfg.rebalance_every);
       ASSERT_EQ(got.matches.size(), expected.matches.size())
           << "REPRO: seed=" << seed << " shards=" << cfg.shards
           << " threads=" << cfg.threads
-          << " rebalance_period=" << cfg.rebalance_period;
+          << " rebalance_every=" << cfg.rebalance_every;
       for (size_t i = 0; i < got.matches.size(); ++i) {
         ASSERT_EQ(got.matches[i], expected.matches[i])
             << "REPRO: seed=" << seed << " batch event " << i
             << " shards=" << cfg.shards << " threads=" << cfg.threads
-            << " rebalance_period=" << cfg.rebalance_period;
+            << " rebalance_every=" << cfg.rebalance_every;
       }
       ASSERT_EQ(got.digest, expected.digest)
           << "REPRO: seed=" << seed << " shards=" << cfg.shards
           << " threads=" << cfg.threads
-          << " rebalance_period=" << cfg.rebalance_period;
+          << " rebalance_every=" << cfg.rebalance_every;
       EXPECT_EQ(engine.subscription_count(), serial.subscription_count());
     }
   }
@@ -322,10 +327,11 @@ TEST(RebalanceFuzz, ShardedReplayMatchesSerialReplayAcrossSeeds) {
 
 TEST(RebalanceFuzz, ReplayIsRepeatable) {
   const std::vector<Op> log = MakeOpLog(99, 500);
-  SubscriptionEngine a = MakeEngine({5, 3, ShardingPolicy::kRange, 40});
-  SubscriptionEngine b = MakeEngine({5, 3, ShardingPolicy::kRange, 40});
-  const ReplayResult ra = Replay(a, log);
-  const ReplayResult rb = Replay(b, log);
+  const EngineConfig cfg{5, 3, ShardingPolicy::kRange, 6};
+  SubscriptionEngine a = MakeEngine(cfg);
+  SubscriptionEngine b = MakeEngine(cfg);
+  const ReplayResult ra = Replay(a, log, cfg.rebalance_every);
+  const ReplayResult rb = Replay(b, log, cfg.rebalance_every);
   EXPECT_EQ(ra.matches, rb.matches);
   EXPECT_EQ(ra.digest, rb.digest);
   EXPECT_EQ(a.GetRangeBoundaries(), b.GetRangeBoundaries());
@@ -340,8 +346,9 @@ TEST(RebalanceFuzz, FuzzedLogsActuallyExerciseTheRebalancer) {
   // kRange engines must see forced moves, migrations, and overflow
   // residency — otherwise the parity assertions are vacuous.
   const std::vector<Op> log = MakeOpLog(2026, 600);
-  SubscriptionEngine engine = MakeEngine({4, 0, ShardingPolicy::kRange, 32});
-  Replay(engine, log);
+  const EngineConfig cfg{4, 0, ShardingPolicy::kRange, 5};
+  SubscriptionEngine engine = MakeEngine(cfg);
+  Replay(engine, log, cfg.rebalance_every);
   EXPECT_GT(engine.rebalance_stats().boundary_moves, 0u);
   EXPECT_GT(engine.rebalance_stats().subscriptions_migrated, 0u);
   size_t resident = 0;

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "adapt/pattern_tracker.h"
+#include "adapt/selectivity.h"
 #include "sdi/subscription_engine.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -323,7 +326,8 @@ TEST(RoutedEngine, SetRangeBoundariesMigratesEverySubscriptionExactly) {
 
 TEST(RoutedEngine, RebalanceOnceShedsTheHotShard) {
   // All subscriptions crowd the first slice of a K=4 engine (fences at
-  // 1/3, 2/3): shard 0 holds everything until a boundary move sheds half.
+  // 1/3, 2/3): shard 0 holds everything until RebalanceOnce re-fences at
+  // the residents' equal-mass quantiles, which both lie inside the crowd.
   SubscriptionEngine engine(UnitSchema(),
                             Opts(4, 0, ShardingPolicy::kRange));
   Rng rng(71);
@@ -346,11 +350,12 @@ TEST(RoutedEngine, RebalanceOnceShedsTheHotShard) {
   ASSERT_TRUE(engine.RebalanceOnce());
   EXPECT_EQ(engine.rebalance_stats().boundary_moves, 1u);
   EXPECT_GT(engine.rebalance_stats().subscriptions_migrated, 0u);
-  // The shared fence moved into the crowd (below 1/3).
+  // Both fences moved into the crowd (its boxes end by 0.3).
   EXPECT_LT(engine.GetRangeBoundaries()[0], 1.0f / 3.0f);
+  EXPECT_LT(engine.GetRangeBoundaries()[1], 0.3f);
 
   infos = engine.GetShardInfos();
-  // Roughly half the residents shed to the neighbor; nothing was lost.
+  // The crowd spread over the slices; nothing was lost.
   EXPECT_LT(infos[0].subscriptions, ids.size());
   EXPECT_GT(infos[1].subscriptions, 0u);
   size_t total = 0;
@@ -366,50 +371,76 @@ TEST(RoutedEngine, RebalanceOnceShedsTheHotShard) {
   engine.MatchBatch(Span<const Event>(events.data(), events.size()), &after);
   EXPECT_EQ(after.matches, before.matches);
 
-  // A second forced pass may move the fence again, but repeated passes
-  // reach a fixed point instead of oscillating forever.
-  for (int i = 0; i < 12 && engine.RebalanceOnce(); ++i) {
-  }
+  // The plan depends only on the live residents, not on where they sit, so
+  // a second call re-plans the same fences: no move, no migration.
+  const std::vector<float> fences = engine.GetRangeBoundaries();
+  const uint64_t version = engine.routing_version();
+  const uint64_t migrated = engine.rebalance_stats().subscriptions_migrated;
   EXPECT_FALSE(engine.RebalanceOnce());
+  EXPECT_EQ(engine.GetRangeBoundaries(), fences);
+  EXPECT_EQ(engine.routing_version(), version);
+  EXPECT_EQ(engine.rebalance_stats().boundary_moves, 1u);
+  EXPECT_EQ(engine.rebalance_stats().subscriptions_migrated, migrated);
 }
 
-TEST(RoutedEngine, AutoRebalanceTriggersUnderSkewAndKeepsParity) {
-  EngineOptions opts = Opts(4, 0, ShardingPolicy::kRange);
-  opts.rebalance_period = 64;
-  opts.rebalance_trigger_ratio = 1.5;
-  opts.rebalance_min_load = 64;
-  SubscriptionEngine routed(UnitSchema(), opts);
-  SubscriptionEngine serial(UnitSchema(), Opts(1, 0));
-
-  Rng rng(13);
+TEST(RoutedEngine, RebalanceOnceInstallsPlanFencesOverTheResidents) {
+  // RebalanceOnce is a thin call into the advisor's planner: its fences
+  // must equal PlanFences over a snapshot of the live subscriptions on the
+  // current fence dimension — here dimension 2, to prove it follows the
+  // routing dimension rather than assuming dimension 0.
+  EngineOptions o = Opts(5, 0, ShardingPolicy::kRange);
+  o.adaptive.fence_dim = 2;
+  SubscriptionEngine engine(UnitSchema(), o);
+  Rng rng(73);
+  std::vector<SubscriptionId> ids;
   std::vector<Box> boxes;
-  for (int i = 0; i < 1500; ++i) {
-    Box b = testutil::RandomBox(rng, kNd, 0.7f);
-    const float lo = 0.2f * rng.NextFloat();  // all mass in slice 0
-    b.set(0, lo, std::min(lo + 0.08f * rng.NextFloat(), 0.32f));
+  for (int i = 0; i < 800; ++i) {
+    Box b = testutil::RandomBox(rng, kNd, 0.5f);
+    const float lo = 0.8f * rng.NextFloat() * rng.NextFloat();
+    b.set(2, lo, lo + 0.1f * rng.NextFloat());
+    ids.push_back(engine.SubscribeBox(b));
     boxes.push_back(b);
   }
-  std::vector<SubscriptionId> r_ids, s_ids;
-  routed.SubscribeBatch(Span<const Box>(boxes.data(), boxes.size()), &r_ids);
-  serial.SubscribeBatch(Span<const Box>(boxes.data(), boxes.size()), &s_ids);
-  EXPECT_EQ(r_ids, s_ids);
-
-  Rng erng(14);
-  for (int round = 0; round < 8; ++round) {
-    std::vector<Event> events;
-    for (int e = 0; e < 48; ++e) {
-      Box b = testutil::RandomBox(erng, kNd, 0.9f);
-      const float lo = 0.25f * erng.NextFloat();  // events hit the hot slice
-      b.set(0, lo, std::min(lo + 0.1f * erng.NextFloat(), 0.35f));
-      events.push_back(Event::Range(std::move(b)));
+  // Unsubscribed residents must not count toward the plan.
+  adapt::PatternAccumulator live;
+  live.Reset(kNd);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i % 4 == 0) {
+      ASSERT_TRUE(engine.Unsubscribe(ids[i]));
+    } else {
+      live.AddSubscription(boxes[i]);
     }
-    MatchBatchResult got, want;
-    routed.MatchBatch(Span<const Event>(events.data(), events.size()), &got);
-    serial.MatchBatch(Span<const Event>(events.data(), events.size()), &want);
-    ASSERT_EQ(got.matches, want.matches) << "round " << round;
   }
-  // The skew is extreme enough that the auto trigger must have fired.
-  EXPECT_GE(routed.rebalance_stats().boundary_moves, 1u);
+  const std::vector<float> want =
+      adapt::SelectivityAnalyzer::PlanFences(live.data(), 2, 3);
+  ASSERT_NE(want, engine.GetRangeBoundaries());
+  ASSERT_TRUE(engine.RebalanceOnce());
+  EXPECT_EQ(engine.GetRangeBoundaries(), want);
+  EXPECT_EQ(engine.routing_dimension(), 2u);
+}
+
+TEST(RoutedEngine, NonFiniteFencesAreRejectedBySetters) {
+  // One fence (K = 3) or one split fence has no adjacent pair for an
+  // ascent check, so finiteness must be checked per element. A rejected
+  // table changes nothing: no migration, no new snapshot.
+  EngineOptions o = Opts(3, 0, ShardingPolicy::kRange);
+  o.adaptive.overflow_split_shards = 2;
+  SubscriptionEngine engine(UnitSchema(), o);
+  Rng rng(74);
+  for (int i = 0; i < 100; ++i) {
+    engine.SubscribeBox(AdversarialBox(rng, {0.5f}));
+  }
+  const uint64_t version = engine.routing_version();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {nan, inf, -inf}) {
+    EXPECT_FALSE(engine.SetRangeBoundaries({bad})) << bad;
+    EXPECT_FALSE(engine.SetOverflowSplit(1, {bad})) << bad;
+  }
+  EXPECT_EQ(engine.routing_version(), version);
+  EXPECT_EQ(engine.GetRangeBoundaries(), std::vector<float>{0.5f});
+  EXPECT_EQ(engine.overflow_split_dimension(), -1);
+  EXPECT_EQ(engine.rebalance_stats().subscriptions_migrated, 0u);
 }
 
 TEST(RoutedEngine, BruteForceOracleOnBoundaryGeometry) {
@@ -500,14 +531,15 @@ TEST(RoutedEngine, OverflowPressureObservability) {
     engine.SubscribeBox(b);
   }
 
-  // The rebalance load snapshot reports overflow residency and straddler
-  // fraction over the live population.
-  const auto load = engine.GetRebalanceLoadSnapshot();
-  ASSERT_EQ(load.range_loads.size(), 2u);
-  EXPECT_EQ(load.overflow_subscriptions, straddlers);
-  EXPECT_EQ(load.total_subscriptions, 120u);
-  EXPECT_DOUBLE_EQ(load.straddler_fraction,
-                   static_cast<double>(straddlers) / 120.0);
+  // The overflow shard is the last one; its residents are exactly the
+  // straddlers, and the shard residencies add up to the live population.
+  const auto infos = engine.GetShardInfos();
+  ASSERT_EQ(infos.size(), 3u);
+  EXPECT_EQ(infos.back().subscriptions, straddlers);
+  size_t total = 0;
+  for (const auto& info : infos) total += info.subscriptions;
+  EXPECT_EQ(total, 120u);
+  EXPECT_EQ(engine.subscription_count(), 120u);
 
   // MatchBatch stamps the overflow gauge on the overflow shard's entry
   // only, alongside the routing snapshot version and epoch it ran under.
@@ -521,114 +553,12 @@ TEST(RoutedEngine, OverflowPressureObservability) {
   EXPECT_EQ(res.routing_version, engine.routing_version());
   EXPECT_GT(res.epoch, 0u);
 
-  // A non-range engine reports an empty load snapshot.
+  EXPECT_EQ(res.overflow_shard, 2u);
+
+  // A hash-sharded engine has no overflow shard: explicitly absent.
   SubscriptionEngine broadcast(UnitSchema(), Opts(3, 0));
-  EXPECT_TRUE(broadcast.GetRebalanceLoadSnapshot().range_loads.empty());
-}
-
-TEST(RoutedEngine, SpillAwarePlannerBeatsSingleCandidateOnDenseCut) {
-  // Dense-cut workload: the donor slice (0.5, inf) holds three packs —
-  // 170 narrow boxes in [0.52, 0.56], a dense pack of 80 WIDE boxes whose
-  // lower endpoints crowd [0.600, 0.602] with hi0 = 0.9, and 150 narrow
-  // boxes above 0.7. The exact gap-halving shed count (m = 200) puts the
-  // fence in the middle of the wide pack — every wide box below it
-  // straddles the new fence and spills to overflow — while shedding ~175
-  // puts the fence at the pack's leading edge and spills almost nothing.
-  // The spill-aware planner must find that fence; the single-candidate
-  // planner (rebalance_fence_candidates = 1) must not.
-  const auto build = [](uint32_t candidates) {
-    EngineOptions o = Opts(3, 0, ShardingPolicy::kRange, {0.5f});
-    o.rebalance_fence_candidates = candidates;
-    auto engine =
-        std::make_unique<SubscriptionEngine>(UnitSchema(), std::move(o));
-    const auto sub = [&](float lo, float hi) {
-      Box b = Box::FullDomain(kNd);
-      b.set(0, lo, hi);
-      engine->SubscribeBox(b);
-    };
-    for (int i = 0; i < 170; ++i) {
-      const float lo = 0.52f + 0.04f * static_cast<float>(i) / 170.0f;
-      sub(lo, lo + 0.005f);
-    }
-    for (int i = 0; i < 80; ++i) {
-      sub(0.600f + 0.002f * static_cast<float>(i) / 80.0f, 0.9f);
-    }
-    for (int i = 0; i < 150; ++i) {
-      const float lo = 0.70f + 0.25f * static_cast<float>(i) / 150.0f;
-      sub(lo, lo + 0.005f);
-    }
-    return engine;
-  };
-
-  auto naive = build(1);
-  auto smart = build(EngineOptions().rebalance_fence_candidates);
-  // Everything starts in the donor slice (shard 1).
-  ASSERT_EQ(naive->GetShardInfos()[1].subscriptions, 400u);
-
-  ASSERT_TRUE(naive->RebalanceOnce());
-  ASSERT_TRUE(smart->RebalanceOnce());
-  const auto naive_st = naive->rebalance_stats();
-  const auto smart_st = smart->rebalance_stats();
-  EXPECT_EQ(naive_st.boundary_moves, 1u);
-  EXPECT_EQ(smart_st.boundary_moves, 1u);
-  EXPECT_GT(smart_st.subscriptions_migrated, 0u);
-
-  // The single-candidate fence lands inside the wide pack; the
-  // spill-aware fence clears it almost entirely.
-  EXPECT_GT(naive_st.last_predicted_straddler_spill, 20u);
-  EXPECT_LT(smart_st.last_predicted_straddler_spill,
-            naive_st.last_predicted_straddler_spill / 2);
-
-  // The prediction is what the migration actually did: fewer overflow
-  // residents under the spill-aware planner, on the same workload.
-  const auto naive_load = naive->GetRebalanceLoadSnapshot();
-  const auto smart_load = smart->GetRebalanceLoadSnapshot();
-  EXPECT_EQ(naive_load.overflow_subscriptions,
-            naive_st.last_predicted_straddler_spill);
-  EXPECT_EQ(smart_load.overflow_subscriptions,
-            smart_st.last_predicted_straddler_spill);
-  EXPECT_LT(smart_load.overflow_subscriptions,
-            naive_load.overflow_subscriptions);
-
-  // Both planners still rebalanced: the donor shed a meaningful share and
-  // nothing was lost.
-  for (const auto& engine : {naive.get(), smart.get()}) {
-    size_t total = 0;
-    for (const auto& info : engine->GetShardInfos()) {
-      total += info.subscriptions;
-    }
-    EXPECT_EQ(total, 400u);
-    EXPECT_GT(engine->GetShardInfos()[0].subscriptions, 100u);
-  }
-}
-
-TEST(RoutedEngine, RebalancePlannerReportsPredictedStraddlerSpill) {
-  // Load the middle slice of a K=4 engine with residents that *straddle
-  // the region the fence will move through*: a move must shed some of
-  // them to overflow, and the planner must predict that spill.
-  SubscriptionEngine engine(UnitSchema(),
-                            Opts(4, 0, ShardingPolicy::kRange,
-                                 {1.0f / 3.0f, 2.0f / 3.0f}));
-  Rng rng(21);
-  for (int i = 0; i < 300; ++i) {
-    Box b = testutil::RandomBox(rng, kNd, 0.3f);
-    // Fat boxes inside the middle slice (1/3, 2/3): any fence landing
-    // inside the pack cuts many of them.
-    const float lo = 0.35f + 0.2f * rng.NextFloat();
-    const float hi = lo + 0.05f + 0.2f * rng.NextFloat();
-    b.set(0, lo, std::min(hi, 0.66f));
-    engine.SubscribeBox(b);
-  }
-  ASSERT_TRUE(engine.RebalanceOnce());
-  const auto st = engine.rebalance_stats();
-  EXPECT_EQ(st.boundary_moves, 1u);
-  EXPECT_GT(st.predicted_straddler_spill, 0u);
-  EXPECT_EQ(st.predicted_straddler_spill,
-            st.last_predicted_straddler_spill);
-  // Reported, not yet acted on: the prediction must agree with what the
-  // migration actually did — every spilled donor is now overflow-resident.
-  const auto load = engine.GetRebalanceLoadSnapshot();
-  EXPECT_GE(load.overflow_subscriptions, st.last_predicted_straddler_spill);
+  broadcast.MatchBatch(Span<const Event>(events.data(), events.size()), &res);
+  EXPECT_EQ(res.overflow_shard, MatchBatchResult::kNoOverflowShard);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "util/rng.h"
 
@@ -104,7 +105,7 @@ TEST(SdiEngine, MalformedSubscriptionRejected) {
   EXPECT_EQ(engine.subscription_count(), 0u);
 }
 
-TEST(SdiEngine, StatsAccumulate) {
+TEST(SdiEngine, MatchStatsAccumulateInTheRegistry) {
   SubscriptionEngine engine = MakeEngine();
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
@@ -115,15 +116,20 @@ TEST(SdiEngine, StatsAccumulate) {
   ASSERT_TRUE(engine.MakePointEvent(
       {{"price", 1500}, {"rooms", 5}, {"baths", 1}, {"distance", 50}}, &ev));
   std::vector<SubscriptionId> out;
+  uint64_t matched = 0;
+  const obs::MetricsSnapshot base = engine.metrics().Snapshot();
   for (int i = 0; i < 10; ++i) {
     out.clear();
     engine.Match(ev, &out);
+    matched += out.size();
   }
-  EXPECT_EQ(engine.stats().events_processed, 10u);
-  EXPECT_EQ(engine.stats().matches_per_event.count(), 10u);
-  EXPECT_GT(engine.stats().matches_per_event.mean(), 0.0);
-  engine.ResetStats();
-  EXPECT_EQ(engine.stats().events_processed, 0u);
+  EXPECT_GT(matched, 0u);
+  const obs::MetricsSnapshot delta =
+      engine.metrics().Snapshot().DeltaSince(base);
+  EXPECT_EQ(delta.Find("accl_pipeline_events_total")->counter, 10u);
+  EXPECT_EQ(delta.Find("accl_pipeline_matches_total")->counter, matched);
+  EXPECT_GE(delta.Find("accl_pipeline_objects_verified_total")->counter,
+            matched);
 }
 
 TEST(SdiEngine, HighVolumeStreamAdapts) {
@@ -151,9 +157,13 @@ TEST(SdiEngine, HighVolumeStreamAdapts) {
     engine.Match(ev, &out);
   }
   EXPECT_GT(engine.index().cluster_count(), 1u);
+  const obs::MetricsSnapshot snap = engine.metrics().Snapshot();
+  const double verified_per_event =
+      static_cast<double>(
+          snap.Find("accl_pipeline_objects_verified_total")->counter) /
+      static_cast<double>(snap.Find("accl_pipeline_events_total")->counter);
   const double verified_frac =
-      engine.stats().verified_per_event.mean() /
-      static_cast<double>(engine.subscription_count());
+      verified_per_event / static_cast<double>(engine.subscription_count());
   EXPECT_LT(verified_frac, 0.6);
 }
 

@@ -1,12 +1,13 @@
 // Sharded matching parity: MatchBatch over K shards / N threads must return
 // byte-identical (ObjectId-sorted) match sets to the serial single-index
-// engine, for every partitioning policy.
+// engine, for both sharding policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sdi/subscription_engine.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -91,7 +92,7 @@ TEST(ShardedEngine, MatchBatchParityAcrossShardAndThreadConfigs) {
     } configs[] = {
         {4, 0, ShardingPolicy::kHashId},
         {4, 4, ShardingPolicy::kHashId},
-        {3, 2, ShardingPolicy::kLeadingDimension},
+        {3, 2, ShardingPolicy::kRange},
         {8, 8, ShardingPolicy::kHashId},
     };
     for (const auto& cfg : configs) {
@@ -114,31 +115,6 @@ TEST(ShardedEngine, MatchBatchIsDeterministicAcrossRuns) {
   const auto ra = DriveWorkload(a, MatchPolicy::kIntersecting, 7);
   const auto rb = DriveWorkload(b, MatchPolicy::kIntersecting, 7);
   EXPECT_EQ(ra, rb);
-}
-
-TEST(ShardedEngine, CustomPartitionerRoutesAndStaysCorrect) {
-  EngineOptions o = Opts(4, 2);
-  o.partitioner = [](SubscriptionId id, const Box&, uint32_t k) {
-    return (id / 3) % k;  // deliberately lumpy
-  };
-  SubscriptionEngine engine(UnitSchema(), o);
-  Rng rng(3);
-  std::vector<SubscriptionId> ids;
-  for (int i = 0; i < 200; ++i) {
-    ids.push_back(engine.SubscribeBox(testutil::RandomBox(rng, kNd, 0.5f)));
-  }
-  for (const SubscriptionId id : ids) {
-    EXPECT_EQ(engine.ShardOf(id), ((id / 3) % 4));
-  }
-  // Full-domain subscription must be found by any event.
-  const SubscriptionId all = engine.SubscribeBox(Box::FullDomain(kNd));
-  std::vector<float> pt(kNd, 0.5f);
-  std::vector<Event> evs = {Event::Point(std::move(pt))};
-  MatchBatchResult res;
-  engine.MatchBatch(Span<const Event>(evs.data(), evs.size()), &res);
-  ASSERT_EQ(res.matches.size(), 1u);
-  EXPECT_TRUE(std::binary_search(res.matches[0].begin(),
-                                 res.matches[0].end(), all));
 }
 
 TEST(ShardedEngine, PerShardMetricsAggregateToTotal) {
@@ -168,6 +144,7 @@ TEST(ShardedEngine, PerShardMetricsAggregateToTotal) {
   for (const auto& info : infos) subs += info.subscriptions;
   EXPECT_EQ(subs, engine.subscription_count());
   EXPECT_EQ(subs, 1000u);
+  EXPECT_EQ(engine.ShardOf(12345u), engine.shard_count());  // unknown id
 }
 
 TEST(ShardedEngine, SingleEventMatchAgreesWithBatch) {
@@ -184,14 +161,33 @@ TEST(ShardedEngine, SingleEventMatchAgreesWithBatch) {
   for (int i = 0; i < 500; ++i) {
     engine2.SubscribeBox(testutil::RandomBox(rng2, kNd, 0.5f));
   }
+  const obs::MetricsSnapshot base = engine.metrics().Snapshot();
+  const obs::MetricsSnapshot base2 = engine2.metrics().Snapshot();
   MatchBatchResult res;
   engine.MatchBatch(Span<const Event>(events.data(), events.size()), &res);
+  uint64_t matched = 0;
   for (size_t e = 0; e < events.size(); ++e) {
     std::vector<SubscriptionId> single;
     engine2.Match(events[e], &single);
+    matched += single.size();
     EXPECT_EQ(testutil::Sorted(std::move(single)), res.matches[e]);
   }
-  EXPECT_EQ(engine.stats().events_processed, events.size());
+  // Both entry points feed the same registry counters identically.
+  const obs::MetricsSnapshot d = engine.metrics().Snapshot().DeltaSince(base);
+  const obs::MetricsSnapshot d2 =
+      engine2.metrics().Snapshot().DeltaSince(base2);
+  for (const char* name :
+       {"accl_pipeline_events_total", "accl_pipeline_matches_total",
+        "accl_pipeline_events_routed_total",
+        "accl_pipeline_objects_verified_total"}) {
+    EXPECT_EQ(d.Find(name)->counter, d2.Find(name)->counter) << name;
+  }
+  EXPECT_EQ(d.Find("accl_pipeline_events_total")->counter, events.size());
+  EXPECT_EQ(d.Find("accl_pipeline_matches_total")->counter, matched);
+  EXPECT_EQ(d.Find("accl_pipeline_events_routed_total")->counter,
+            events.size() * engine.shard_count());
+  EXPECT_EQ(d.Find("accl_pipeline_objects_verified_total")->counter,
+            res.total.objects_verified);
 }
 
 TEST(ShardedEngine, SubscribeBatchEquivalentToLoopSubscribeForAllPolicies) {
@@ -203,7 +199,6 @@ TEST(ShardedEngine, SubscribeBatchEquivalentToLoopSubscribeForAllPolicies) {
     uint32_t shards;
   } cases[] = {
       {ShardingPolicy::kHashId, 4},
-      {ShardingPolicy::kLeadingDimension, 4},
       {ShardingPolicy::kRange, 4},
       {ShardingPolicy::kRange, 2},  // degenerate: one slice + overflow
   };
@@ -295,8 +290,7 @@ TEST(ShardedEngine, SubscribeBatchInterleavesWithLoopSubscribeAndUnsubscribe) {
   SubscriptionEngine serial(UnitSchema(), Opts(1, 0));
   const auto expected = drive(serial);
   for (const ShardingPolicy policy :
-       {ShardingPolicy::kHashId, ShardingPolicy::kLeadingDimension,
-        ShardingPolicy::kRange}) {
+       {ShardingPolicy::kHashId, ShardingPolicy::kRange}) {
     SubscriptionEngine sharded(UnitSchema(), Opts(5, 3, policy));
     EXPECT_EQ(drive(sharded), expected)
         << "policy " << static_cast<int>(policy);
@@ -311,21 +305,6 @@ TEST(ShardedEngine, EmptySubscribeBatchIsANoOp) {
   EXPECT_EQ(engine.subscription_count(), 0u);
   const SubscriptionId next = engine.SubscribeBox(Box::FullDomain(kNd));
   EXPECT_EQ(next, 0u);  // no ids were burned
-}
-
-TEST(ShardedEngine, LeadingDimensionPartitionSpreadsByGeometry) {
-  SubscriptionEngine engine(UnitSchema(),
-                            Opts(4, 0, ShardingPolicy::kLeadingDimension));
-  Box low(kNd), high(kNd);
-  for (Dim d = 0; d < kNd; ++d) {
-    low.set(d, 0.0f, 0.1f);
-    high.set(d, 0.9f, 1.0f);
-  }
-  const SubscriptionId lo_id = engine.SubscribeBox(low);
-  const SubscriptionId hi_id = engine.SubscribeBox(high);
-  EXPECT_EQ(engine.ShardOf(lo_id), 0u);
-  EXPECT_EQ(engine.ShardOf(hi_id), 3u);
-  EXPECT_EQ(engine.ShardOf(12345u), engine.shard_count());  // unknown id
 }
 
 }  // namespace

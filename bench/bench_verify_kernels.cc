@@ -22,9 +22,12 @@
 namespace accl {
 namespace {
 
+// `*dims_total` receives one pass's summed dims_checked, the logical-reads
+// figure every backend must report identically.
 bench::CompetitorResult MeasureBackend(const kernels::VerifyBackend& backend,
                                        const SlotArray& a,
-                                       const std::vector<Query>& queries) {
+                                       const std::vector<Query>& queries,
+                                       uint64_t* dims_total) {
   const size_t warmup =
       bench::EnvCount("ACCL_BENCH_WARMUP_PASSES", 1, /*scaled=*/false);
   const size_t reps = bench::EnvCount("ACCL_BENCH_REPS", 5, /*scaled=*/false);
@@ -34,13 +37,13 @@ bench::CompetitorResult MeasureBackend(const kernels::VerifyBackend& backend,
   uint64_t matches = 0;
   const auto one_pass = [&](double* wall_ms) {
     matches = 0;
+    *dims_total = 0;
     WallTimer t;
     for (const Query& q : queries) {
       bq.Assign(q.box.view(), q.rel);
       out.clear();
-      uint64_t dims = 0;
       matches += backend.VerifyBatch(a.coords_data(), a.ids().data(),
-                                     a.size(), bq, &out, &dims);
+                                     a.size(), bq, &out, dims_total);
     }
     if (wall_ms != nullptr) *wall_ms = t.ElapsedMs();
   };
@@ -87,23 +90,29 @@ int Run() {
         GenerateQueriesWithExtent(nd, Relation::kIntersects, nq, 0.3, 5);
 
     std::vector<bench::CompetitorResult> results;
-    for (const kernels::VerifyBackend* b : reg.All()) {
-      results.push_back(MeasureBackend(*b, a, queries));
+    std::vector<uint64_t> dims(reg.All().size());
+    for (size_t i = 0; i < reg.All().size(); ++i) {
+      results.push_back(MeasureBackend(*reg.All()[i], a, queries, &dims[i]));
       const bench::CompetitorResult& r = results.back();
       std::printf("%-6u | %-8s | %6u | %14.4f | %10.1f\n", nd,
                   r.name.c_str(), r.vector_width_floats, r.wall_ms_per_query,
                   r.avg_results);
     }
-    // All backends must agree on the answer count; a mismatch here means
-    // the parity tests are not being run.
-    for (const bench::CompetitorResult& r : results) {
-      if (r.avg_results != results.front().avg_results) {
+    // All backends must agree on the answer count and the dims accounting
+    // (the latter bites even when these selective queries match nothing);
+    // a mismatch here means the parity tests are not being run.
+    for (size_t i = 0; i < results.size(); ++i) {
+      const bench::CompetitorResult& r = results[i];
+      if (r.avg_results != results.front().avg_results ||
+          dims[i] != dims.front()) {
         std::fprintf(stderr,
-                     "KERNEL DIVERGENCE: %s averaged %.2f results/query vs "
-                     "%s %.2f\n",
+                     "KERNEL DIVERGENCE: %s averaged %.2f results/query and "
+                     "%llu dims vs %s %.2f and %llu\n",
                      r.name.c_str(), r.avg_results,
+                     static_cast<unsigned long long>(dims[i]),
                      results.front().name.c_str(),
-                     results.front().avg_results);
+                     results.front().avg_results,
+                     static_cast<unsigned long long>(dims.front()));
         return 1;
       }
     }

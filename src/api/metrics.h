@@ -14,7 +14,7 @@ namespace accl {
 /// (kernels/backend_registry.h). Surfaced so benchmark JSON and diagnostics
 /// can record which ISA variant produced a measurement.
 struct VerifyKernelInfo {
-  const char* backend = "scalar";     ///< "scalar", "sse2", "avx2", "avx512"
+  const char* backend = "scalar";     ///< "scalar", "avx2" or "avx512"
   uint32_t vector_width_floats = 1;   ///< floats per SIMD lane group
 };
 

@@ -17,13 +17,9 @@ AdaptiveIndex::AdaptiveIndex(const AdaptiveConfig& cfg)
           // Symmetric-case candidate count per cluster (paper footnote 3).
           static_cast<double>(cfg.nd) * cfg.division_factor *
               (cfg.division_factor + 1) / 2.0)),
-      backend_(kernels::BackendRegistry::Instance().Resolve(
-          cfg.verify_backend)),
-      sig_table_(cfg.nd, backend_) {
+      backend_(kernels::BackendRegistry::Instance().Resolve("")),
+      sig_table_(cfg.nd) {
   ACCL_CHECK(cfg_.nd > 0);
-  // Unknown names should be caught by validation (sdi::ValidateOptions)
-  // before an index is ever constructed; here it is a programming error.
-  ACCL_CHECK(backend_ != nullptr);
   owner_.reserve(1024);
   ACCL_CHECK(cfg_.division_factor >= 2);
   ACCL_CHECK(cfg_.reserve_fraction >= 0.0 && cfg_.reserve_fraction < 1.0);

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -69,12 +68,6 @@ struct AdaptiveConfig {
   uint32_t stats_halving_period = 4096;
   /// Hard cap on materialized clusters (safety valve).
   size_t max_clusters = 1u << 20;
-  /// Verification-kernel backend by name ("scalar", "sse2", "avx2",
-  /// "avx512"); empty selects the widest the host supports. The
-  /// ACCL_FORCE_BACKEND environment variable overrides this. Requesting a
-  /// backend the build or host lacks aborts at construction — validate
-  /// first via kernels::BackendRegistry (ValidateOptions does).
-  std::string verify_backend;
 };
 
 /// Aggregate reorganization counters for introspection and tests.
@@ -222,8 +215,7 @@ class AdaptiveIndex : public SpatialIndex {
 
   AdaptiveConfig cfg_;
   CostModel model_;
-  /// Resolved verification backend (cfg_.verify_backend / env / widest).
-  /// Declared before sig_table_, which borrows it for its filter passes.
+  /// Verification backend resolved once at construction (env / widest).
   const kernels::VerifyBackend* backend_;
 
   std::vector<std::unique_ptr<Cluster>> clusters_;

@@ -2,19 +2,45 @@
 
 #include <algorithm>
 
-#include "kernels/backend_registry.h"
 #include "util/check.h"
 
 namespace accl {
 
-SignatureTable::SignatureTable(Dim nd, const kernels::VerifyBackend* backend)
-    : nd_(nd),
-      backend_(backend != nullptr
-                   ? backend
-                   : kernels::BackendRegistry::Instance().Resolve("")),
-      refined_(nd) {
+namespace {
+
+// One dimension of the admit test over packed per-slot bound arrays: slot s
+// survives iff le[s] <= le_bound && ge[s] >= ge_bound. Both sweeps are
+// branch-free compactions (write unconditionally, advance on survival) and
+// emit surviving slots in ascending order.
+
+// Scans slots [0, n); `out` has capacity >= n.
+size_t FilterDense(const float* le, const float* ge, float le_bound,
+                   float ge_bound, size_t n, uint32_t* out) {
+  size_t count = 0;
+  for (size_t s = 0; s < n; ++s) {
+    out[count] = static_cast<uint32_t>(s);
+    count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
+  }
+  return count;
+}
+
+// Scans the ascending slot list `in` of length n; `out` may not alias `in`.
+size_t FilterSparse(const float* le, const float* ge, float le_bound,
+                    float ge_bound, const uint32_t* in, size_t n,
+                    uint32_t* out) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t s = in[i];
+    out[count] = s;
+    count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
+  }
+  return count;
+}
+
+}  // namespace
+
+SignatureTable::SignatureTable(Dim nd) : nd_(nd), refined_(nd) {
   ACCL_CHECK(nd > 0);
-  ACCL_CHECK(backend_ != nullptr);
 }
 
 void SignatureTable::Grow(size_t need) {
@@ -164,15 +190,15 @@ void SignatureTable::CollectAdmitted(const Query& q,
   {
     const float le_b = le_bound_is_hi ? qc[1] : qc[0];
     const float ge_b = le_bound_is_hi ? qc[0] : qc[1];
-    count = backend_->FilterSlotsDense(le_arr, ge_arr, le_b, ge_b, nslots, cur);
+    count = FilterDense(le_arr, ge_arr, le_b, ge_b, nslots, cur);
   }
   for (Dim d = 1; d < nd_ && count > 0; ++d) {
     const float qlo = qc[2 * d];
     const float qhi = qc[2 * d + 1];
     const float le_b = le_bound_is_hi ? qhi : qlo;
     const float ge_b = le_bound_is_hi ? qlo : qhi;
-    count = backend_->FilterSlotsSparse(le_arr + d * cap_, ge_arr + d * cap_,
-                                        le_b, ge_b, cur, count, nxt);
+    count = FilterSparse(le_arr + d * cap_, ge_arr + d * cap_, le_b, ge_b,
+                         cur, count, nxt);
     std::swap(cur, nxt);
   }
   for (size_t i = 0; i < count; ++i) out->push_back(cluster_of_[cur[i]]);

@@ -23,10 +23,6 @@
 
 namespace accl {
 
-namespace kernels {
-class VerifyBackend;
-}  // namespace kernels
-
 /// Packed admit-filter index over live cluster signatures.
 ///
 /// Thread safety: CollectAdmitted is const but reuses mutable per-query
@@ -35,13 +31,7 @@ class VerifyBackend;
 /// table — AdaptiveIndex inherits this contract and documents it.
 class SignatureTable {
  public:
-  /// `backend` drives the out-of-domain filter passes (FilterSlotsDense /
-  /// FilterSlotsSparse); nullptr selects the registry's resolved backend.
-  /// The in-domain refined-list path stays scalar regardless: it gathers
-  /// scattered slots through an index list, so a contiguous SIMD sweep has
-  /// nothing to vectorize over.
-  explicit SignatureTable(Dim nd,
-                          const kernels::VerifyBackend* backend = nullptr);
+  explicit SignatureTable(Dim nd);
 
   Dim dims() const { return nd_; }
   size_t size() const { return cluster_of_.size(); }
@@ -69,7 +59,6 @@ class SignatureTable {
   void Grow(size_t need);
 
   Dim nd_;
-  const kernels::VerifyBackend* backend_;  ///< never null after construction
   size_t cap_ = 0;
   std::vector<ClusterId> cluster_of_;  ///< slot -> cluster id
   // Signature bounds, [d * cap_ + slot]:

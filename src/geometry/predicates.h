@@ -69,8 +69,9 @@ class BatchQuery {
 
 // The batched verification kernel that consumes a BatchQuery lives in
 // src/kernels/ (verify_backend.h / backend_registry.h): one algorithm,
-// several runtime-dispatched ISA variants. BatchQuery stays here because it
-// is pure query-image data — geometry remains below the kernel layer.
+// three runtime-dispatched variants (scalar, avx2, avx512). BatchQuery
+// stays here because it is pure query-image data — geometry remains below
+// the kernel layer.
 
 /// Convenience wrappers.
 inline bool Intersects(BoxView a, BoxView b) {

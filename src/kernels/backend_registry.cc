@@ -1,10 +1,12 @@
 #include "kernels/backend_registry.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 #include "kernels/backends.h"
 #include "obs/metrics.h"
+#include "util/check.h"
 
 namespace accl::kernels {
 
@@ -19,7 +21,6 @@ BackendRegistry::BackendRegistry() : host_(HostCpuFeatures()) {
     owned_.push_back(std::move(b));
   };
   add(MakeScalarBackend());
-  add(MakeSse2Backend());
 #if defined(ACCL_KERNEL_HAVE_AVX2)
   add(MakeAvx2Backend());
 #endif
@@ -51,35 +52,23 @@ const VerifyBackend* BackendRegistry::Find(const std::string& name) const {
 
 const VerifyBackend* BackendRegistry::Resolve(const std::string& requested,
                                               std::string* note) const {
+  ACCL_CHECK(requested.empty());
   if (const char* env = std::getenv("ACCL_FORCE_BACKEND");
       env != nullptr && env[0] != '\0') {
     if (const VerifyBackend* b = Find(env)) {
       if (note) *note = std::string("pinned by ACCL_FORCE_BACKEND=") + env;
       return b;
     }
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
+    // Indexes are constructed concurrently (one per shard), so the
+    // warn-once latch must be atomic.
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "accl: ACCL_FORCE_BACKEND=%s is not a registered verify "
                    "backend (have: %s); ignoring the pin\n",
                    env, BackendNames().c_str());
     }
   }
-  if (!requested.empty()) {
-    const VerifyBackend* b = Find(requested);
-    if (b != nullptr && note) *note = "requested via config";
-    return b;  // nullptr for unknown/unsupported: the caller owns the error
-  }
-#if defined(ACCL_FORCE_BACKEND_DEFAULT)
-  if (const VerifyBackend* b = Find(ACCL_FORCE_BACKEND_DEFAULT)) {
-    if (note) {
-      *note = std::string("build default ACCL_FORCE_BACKEND_DEFAULT=") +
-              ACCL_FORCE_BACKEND_DEFAULT;
-    }
-    return b;
-  }
-#endif
   if (note) *note = "widest supported on host";
   return widest_;
 }
@@ -91,14 +80,6 @@ std::string BackendRegistry::BackendNames() const {
     names += b->name();
   }
   return names;
-}
-
-size_t VerifyBatch(const float* coords, const ObjectId* ids, size_t n,
-                   const BatchQuery& bq, std::vector<ObjectId>* out,
-                   uint64_t* dims_checked) {
-  const VerifyBackend* b = BackendRegistry::Instance().Resolve("");
-  b->NoteDispatch();
-  return b->VerifyBatch(coords, ids, n, bq, out, dims_checked);
 }
 
 }  // namespace accl::kernels

@@ -2,28 +2,19 @@
 //
 // Built once, at first use: the constructor probes the host CPU
 // (cpu_features.h) and registers every compiled-in backend the host can
-// execute — always "scalar", then "sse2"/"avx2"/"avx512" as CPUID and the
-// build allow. Selection is a pure function of (env, request, build
-// default, host), so two indexes constructed with the same inputs always
-// verify with the same kernel.
+// execute — always "scalar", then "avx2"/"avx512" as CPUID and the build
+// allow. Selection is a pure function of (env, host), so two indexes
+// constructed under the same environment always verify with the same
+// kernel.
 //
-// Resolve precedence, strongest first:
-//   1. ACCL_FORCE_BACKEND environment variable — operator pin, wins over
-//      everything (CI's forced-scalar job rides on this). An unknown or
-//      unsupported name warns once to stderr and falls through, so a stale
-//      pin degrades loudly instead of crashing or silently lying.
-//   2. The requested name (AdaptiveConfig::verify_backend). Unknown or
-//      unsupported names return nullptr here — the caller owns the error
-//      (ValidateOptions turns it into InvalidArgument before an engine
-//      ever starts).
-//   3. ACCL_FORCE_BACKEND_DEFAULT — a compile-time pin from the CMake
-//      cache knob of the same name, for images built for known fleets.
-//   4. Widest supported: highest vector_width_floats() among registered
-//      backends. The common case; picks avx512 > avx2 > sse2 > scalar.
-//
-// The environment variable is re-read on every Resolve call (it is not
-// latched at registry construction) so tests can setenv/unsetenv around
-// index construction.
+// Resolve has one pin: the ACCL_FORCE_BACKEND environment variable (CI's
+// forced-scalar job rides on it). Without it, or when it names no
+// registered backend, Resolve returns the widest registered backend
+// (highest vector_width_floats(): avx512 > avx2 > scalar). An unknown or
+// unsupported pin warns once to stderr and falls through, so a stale pin
+// degrades loudly instead of crashing or silently lying. The variable is
+// re-read on every Resolve call (not latched at registry construction) so
+// tests can setenv/unsetenv around index construction.
 #pragma once
 
 #include <memory>
@@ -42,18 +33,18 @@ class BackendRegistry {
   // compiled in AND executable on this host.
   const VerifyBackend* Find(const std::string& name) const;
 
-  // Applies the precedence above. `requested` empty means "no preference".
-  // Returns nullptr only when `requested` is non-empty and not registered;
-  // with an empty request a backend is always found (scalar is always
-  // registered). If `note` is non-null it receives a one-line description
-  // of why this backend was chosen (for logs / bench metadata).
+  // The ACCL_FORCE_BACKEND pin, else the widest registered backend; never
+  // null (scalar is always registered). `requested` must be empty: there
+  // is no per-call pin. If `note` is non-null it receives a one-line
+  // description of why this backend was chosen (for logs / bench metadata).
+  // Safe to call concurrently.
   const VerifyBackend* Resolve(const std::string& requested,
                                std::string* note = nullptr) const;
 
   const std::vector<const VerifyBackend*>& All() const { return all_; }
   const CpuFeatures& host() const { return host_; }
 
-  // "scalar sse2 avx2 avx512" — for error messages.
+  // "scalar avx2 avx512" — for error messages.
   std::string BackendNames() const;
 
  private:
@@ -64,13 +55,5 @@ class BackendRegistry {
   std::vector<const VerifyBackend*> all_;     // registration order
   const VerifyBackend* widest_ = nullptr;
 };
-
-// Registry-dispatched convenience mirroring the old geometry::VerifyBatch
-// free function: verifies with the backend the registry resolves for an
-// empty request (env pin respected). Callers on a hot path should resolve
-// once and hold the pointer instead.
-size_t VerifyBatch(const float* coords, const ObjectId* ids, size_t n,
-                   const BatchQuery& bq, std::vector<ObjectId>* out,
-                   uint64_t* dims_checked);
 
 }  // namespace accl::kernels

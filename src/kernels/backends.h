@@ -4,11 +4,9 @@
 // than static-initializer self-registration: the library is linked as a
 // static archive, where an unreferenced TU's initializers are silently
 // dropped by the linker — the classic way a backend vanishes from release
-// builds only. A factory returns nullptr when its ISA was not compiled
-// into the TU (e.g. MakeSse2Backend on a non-x86 build); the AVX factories
-// are additionally compiled out entirely (and their calls #if-gated by the
-// ACCL_KERNEL_HAVE_* definitions CMake sets) when the toolchain cannot
-// build the TU at all.
+// builds only. The AVX factories are compiled out entirely (and their
+// calls #if-gated by the ACCL_KERNEL_HAVE_* definitions CMake sets) when
+// the toolchain cannot build the TU.
 #pragma once
 
 #include <memory>
@@ -18,7 +16,6 @@
 namespace accl::kernels {
 
 std::unique_ptr<VerifyBackend> MakeScalarBackend();
-std::unique_ptr<VerifyBackend> MakeSse2Backend();
 #if defined(ACCL_KERNEL_HAVE_AVX2)
 std::unique_ptr<VerifyBackend> MakeAvx2Backend();
 #endif

@@ -11,7 +11,6 @@ CpuFeatures Probe() {
   // XGETBV, so a kernel that does not save the wide register state makes
   // the feature read as absent — exactly the "can I actually run this
   // backend" question the registry needs answered.
-  f.sse2 = __builtin_cpu_supports("sse2");
   f.avx2 = __builtin_cpu_supports("avx2");
   f.avx512f = __builtin_cpu_supports("avx512f");
 #endif
@@ -27,8 +26,7 @@ const CpuFeatures& HostCpuFeatures() {
 
 std::string CpuFeatureString(const CpuFeatures& f) {
   std::string s;
-  if (f.sse2) s += "sse2";
-  if (f.avx2) s += s.empty() ? "avx2" : " avx2";
+  if (f.avx2) s += "avx2";
   if (f.avx512f) s += s.empty() ? "avx512f" : " avx512f";
   return s.empty() ? "none" : s;
 }

@@ -13,7 +13,6 @@ namespace accl::kernels {
 
 /// The ISA capabilities a verify backend may require.
 struct CpuFeatures {
-  bool sse2 = false;
   bool avx2 = false;
   bool avx512f = false;
 };
@@ -23,7 +22,7 @@ struct CpuFeatures {
 /// only one that registers as supported).
 const CpuFeatures& HostCpuFeatures();
 
-/// Space-separated list of the detected features ("sse2 avx2 avx512f"),
+/// Space-separated list of the detected features ("avx2 avx512f"),
 /// or "none" — for logs, BENCH JSON metadata, and error messages.
 std::string CpuFeatureString(const CpuFeatures& f);
 

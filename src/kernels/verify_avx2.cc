@@ -4,10 +4,9 @@
 // registry reaches it only through the MakeAvx2Backend factory, and only
 // after the CPUID probe confirmed the host executes AVX2.
 //
-// The chunk stays 16 floats — same as SSE2 — so the first-fail positions,
+// The chunk is 16 floats — same as AVX-512 — so the first-fail positions,
 // and therefore the dims accounting, are structurally identical across
-// backends; AVX2 wins by halving the instruction count per chunk, not by
-// widening the probe window.
+// backends.
 #include <immintrin.h>
 
 #include "kernels/backends.h"
@@ -46,31 +45,6 @@ class Avx2Backend final : public VerifyBackend {
                      uint64_t* dims_checked) const override {
     return detail::VerifyBatchImpl<Avx2Probe>(coords, ids, n, bq, out,
                                               dims_checked);
-  }
-
-  size_t FilterSlotsDense(const float* le, const float* ge, float le_bound,
-                          float ge_bound, size_t n,
-                          uint32_t* out_slots) const override {
-    const __m256 leb = _mm256_set1_ps(le_bound);
-    const __m256 geb = _mm256_set1_ps(ge_bound);
-    size_t count = 0;
-    size_t s = 0;
-    for (; s + 8 <= n; s += 8) {
-      const __m256 pass = _mm256_and_ps(
-          _mm256_cmp_ps(_mm256_loadu_ps(le + s), leb, _CMP_LE_OQ),
-          _mm256_cmp_ps(_mm256_loadu_ps(ge + s), geb, _CMP_GE_OQ));
-      uint32_t m = static_cast<uint32_t>(_mm256_movemask_ps(pass));
-      while (m != 0) {  // ascending: ctz walks low bit to high
-        const uint32_t b = static_cast<uint32_t>(__builtin_ctz(m));
-        m &= m - 1;
-        out_slots[count++] = static_cast<uint32_t>(s + b);
-      }
-    }
-    for (; s < n; ++s) {
-      out_slots[count] = static_cast<uint32_t>(s);
-      count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
-    }
-    return count;
   }
 };
 

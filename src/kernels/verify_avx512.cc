@@ -3,7 +3,7 @@
 // movemask and the OR tree disappear entirely. Compiled with -mavx512f
 // per-file; reached only via MakeAvx512Backend after the CPUID probe.
 //
-// Chunk remains 16 floats, matching SSE2/AVX2, so first-fail positions and
+// Chunk remains 16 floats, matching AVX2, so first-fail positions and
 // dims accounting are structurally identical; see verify_common.h.
 #include <immintrin.h>
 
@@ -39,33 +39,6 @@ class Avx512Backend final : public VerifyBackend {
                      uint64_t* dims_checked) const override {
     return detail::VerifyBatchImpl<Avx512Probe>(coords, ids, n, bq, out,
                                                 dims_checked);
-  }
-
-  size_t FilterSlotsDense(const float* le, const float* ge, float le_bound,
-                          float ge_bound, size_t n,
-                          uint32_t* out_slots) const override {
-    const __m512 leb = _mm512_set1_ps(le_bound);
-    const __m512 geb = _mm512_set1_ps(ge_bound);
-    // Compress-store writes the surviving lane indices contiguously in lane
-    // order, which is exactly the ascending-slot contract.
-    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                           11, 12, 13, 14, 15);
-    size_t count = 0;
-    size_t s = 0;
-    for (; s + 16 <= n; s += 16) {
-      const __mmask16 pass = static_cast<__mmask16>(
-          _mm512_cmp_ps_mask(_mm512_loadu_ps(le + s), leb, _CMP_LE_OQ) &
-          _mm512_cmp_ps_mask(_mm512_loadu_ps(ge + s), geb, _CMP_GE_OQ));
-      const __m512i slots =
-          _mm512_add_epi32(lane, _mm512_set1_epi32(static_cast<int>(s)));
-      _mm512_mask_compressstoreu_epi32(out_slots + count, pass, slots);
-      count += static_cast<size_t>(__builtin_popcount(pass));
-    }
-    for (; s < n; ++s) {
-      out_slots[count] = static_cast<uint32_t>(s);
-      count += (le[s] <= le_bound) & (ge[s] >= ge_bound);
-    }
-    return count;
   }
 };
 

@@ -1,7 +1,7 @@
 // VerifyBackend — the interface every batched-verification kernel variant
-// implements (scalar / SSE2 / AVX2 / AVX-512, and whatever the registry
-// grows next: a GPU or stub backend drops in here without touching any
-// call site).
+// implements: scalar (the reference), AVX2 and AVX-512. Its only job is
+// VerifyBatch, the paper's per-object verification (the C term of the cost
+// model); the signature admit filter is scalar and lives in SignatureTable.
 //
 // The backends are *observationally identical by contract*: for the same
 // inputs every backend must produce the same match set, in the same order,
@@ -26,14 +26,14 @@ class VerifyBackend {
  public:
   virtual ~VerifyBackend() = default;
 
-  /// Stable lower-case identifier ("scalar", "sse2", "avx2", "avx512").
-  /// This is the name IndexOptions / ACCL_FORCE_BACKEND pin by, and the
-  /// name surfaced in metrics and BENCH JSON.
+  /// Stable lower-case identifier ("scalar", "avx2", "avx512"). This is
+  /// the name ACCL_FORCE_BACKEND pins by, and the name surfaced in metrics
+  /// and BENCH JSON.
   virtual const char* name() const = 0;
 
-  /// Floats compared per vector step (1 for scalar, 4/8/16 for
-  /// SSE2/AVX2/AVX-512). Registry auto-selection picks the widest
-  /// supported backend; ties break toward earlier registration.
+  /// Floats compared per vector step (1 for scalar, 8/16 for
+  /// AVX2/AVX-512). Registry auto-selection picks the widest supported
+  /// backend; ties break toward earlier registration.
   virtual uint32_t vector_width_floats() const = 0;
 
   /// True when `host` can execute this backend's instructions. A backend
@@ -73,33 +73,6 @@ class VerifyBackend {
                              size_t n, const BatchQuery& bq,
                              std::vector<ObjectId>* out,
                              uint64_t* dims_checked) const = 0;
-
-  // ---- Admit-filter sweeps (SignatureTable::CollectAdmitted) ---------
-  //
-  // One dimension of the signature admit test is two bound comparisons
-  // against packed per-slot arrays: slot s survives iff
-  //
-  //     le[s] <= le_bound  &&  ge[s] >= ge_bound.
-  //
-  // FilterSlotsDense scans slots [0, n) and writes the survivors'
-  // ascending slot numbers to `out_slots` (capacity >= n), returning the
-  // survivor count. FilterSlotsSparse does the same over an explicit
-  // ascending slot list `in` (out_slots may not alias `in`). Both carry
-  // no dims accounting — the admit filter is charged per cluster (the
-  // cost model's A term), not per dimension — but the survivor sets and
-  // their order are contract: every backend must emit exactly the slots
-  // the scalar loop emits, ascending.
-  //
-  // The base-class implementations are the scalar reference; vector
-  // backends override the dense sweep (contiguous loads + compress) and
-  // inherit the sparse one (gather-shaped, rarely worth vectorizing).
-  virtual size_t FilterSlotsDense(const float* le, const float* ge,
-                                  float le_bound, float ge_bound, size_t n,
-                                  uint32_t* out_slots) const;
-  virtual size_t FilterSlotsSparse(const float* le, const float* ge,
-                                   float le_bound, float ge_bound,
-                                   const uint32_t* in, size_t n,
-                                   uint32_t* out_slots) const;
 
   // ---- Dispatch accounting -------------------------------------------
   //

@@ -18,7 +18,6 @@
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "exec/shard_queues.h"
-#include "kernels/backend_registry.h"
 #include "obs/alloc_hook.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -252,18 +251,6 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
   }
   if (o.index.max_clusters < 1) {
     return Status::InvalidArgument("index.max_clusters must be >= 1");
-  }
-  if (!o.index.verify_backend.empty()) {
-    // Checked against the registry directly (not Resolve) so the
-    // ACCL_FORCE_BACKEND pin cannot mask a config that would abort on a
-    // host without the pin.
-    const auto& reg = kernels::BackendRegistry::Instance();
-    if (reg.Find(o.index.verify_backend) == nullptr) {
-      return Status::InvalidArgument(
-          "index.verify_backend \"" + o.index.verify_backend +
-          "\" is not a registered verify backend on this host (have: " +
-          reg.BackendNames() + ")");
-    }
   }
   if (o.sharding == ShardingPolicy::kRange) {
     if (o.shards < 2) {

@@ -15,9 +15,16 @@
 namespace accl {
 namespace {
 
-// Registry-dispatched kernel (widest backend the host supports, or the
-// ACCL_FORCE_BACKEND pin). Per-backend parity is kernel_parity_test's job.
-using kernels::VerifyBatch;
+// The registry's resolved kernel (widest backend the host supports, or the
+// ACCL_FORCE_BACKEND pin), resolved once. Per-backend parity is
+// kernel_parity_test's job.
+size_t VerifyBatch(const float* coords, const ObjectId* ids, size_t n,
+                   const BatchQuery& bq, std::vector<ObjectId>* out,
+                   uint64_t* dims_checked) {
+  static const kernels::VerifyBackend* const backend =
+      kernels::BackendRegistry::Instance().Resolve("");
+  return backend->VerifyBatch(coords, ids, n, bq, out, dims_checked);
+}
 
 constexpr Relation kRelations[] = {Relation::kIntersects,
                                    Relation::kContainedBy,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_index.h"
@@ -133,50 +134,56 @@ Signature RandomRefinedSignature(Rng& rng, Dim refined_dims, uint32_t f) {
   return sig;
 }
 
+// Table sizes straddle 8- and 16-lane vector widths and the table's 16-slot
+// initial capacity, so the out-of-domain dense and sparse sweeps are checked
+// at every tail length a vectorized sweep would have to handle.
 TEST(DomainEdges, CollectAdmittedEqualsBruteForceAdmitsQuery) {
   Rng rng(13);
-  SignatureTable table(kNd);
-  std::vector<std::pair<ClusterId, Signature>> sigs;
-  for (ClusterId id = 0; id < 60; ++id) {
-    Signature s = RandomRefinedSignature(
-        rng, static_cast<Dim>(rng.NextBelow(kNd + 1)), 4);
-    table.Add(id, s);
-    sigs.emplace_back(id, std::move(s));
-  }
-  ASSERT_EQ(table.size(), sigs.size());
-
-  const auto check = [&](const Query& q, const char* what) {
-    std::vector<ClusterId> got;
-    table.CollectAdmitted(q, &got);
-    std::sort(got.begin(), got.end());
-    std::vector<ClusterId> expect;
-    for (const auto& [id, sig] : sigs) {
-      if (sig.AdmitsQuery(q)) expect.push_back(id);
+  for (const size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 333u}) {
+    SCOPED_TRACE("table size " + std::to_string(n));
+    SignatureTable table(kNd);
+    std::vector<std::pair<ClusterId, Signature>> sigs;
+    for (ClusterId id = 0; id < n; ++id) {
+      Signature s = RandomRefinedSignature(
+          rng, static_cast<Dim>(rng.NextBelow(kNd + 1)), 4);
+      table.Add(id, s);
+      sigs.emplace_back(id, std::move(s));
     }
-    EXPECT_EQ(got, expect) << what << " rel=" << static_cast<int>(q.rel);
-  };
+    ASSERT_EQ(table.size(), sigs.size());
 
-  for (const Relation rel :
-       {Relation::kIntersects, Relation::kContainedBy, Relation::kEncloses}) {
-    for (int i = 0; i < 200; ++i) {
-      check(Query(testutil::RandomBox(rng, kNd, 0.6f), rel), "in-domain");
-    }
-    // Adversarial fixed probes on both paths.
-    check(Query(MakeBoxAll(0.0f, 0.0f), rel), "zero corner");
-    check(Query(MakeBoxAll(1.0f, 1.0f), rel), "one corner");
-    check(Query(MakeBoxAll(0.25f, 0.25f), rel), "piece boundary point");
-    check(Query(MakeBoxAll(-0.5f, -0.2f), rel), "below domain");
-    check(Query(MakeBoxAll(1.01f, 1.5f), rel), "above domain");
-    check(Query(MakeBoxAll(-0.1f, 1.1f), rel), "superset of domain");
-    for (int i = 0; i < 100; ++i) {
-      // Random boxes shifted partially outside the domain.
-      Box b = testutil::RandomBox(rng, kNd, 0.5f);
-      Box shifted(kNd);
-      for (Dim d = 0; d < kNd; ++d) {
-        const float off = (rng.NextFloat() - 0.5f);
-        shifted.set(d, b.lo(d) + off, b.hi(d) + off);
+    const auto check = [&](const Query& q, const char* what) {
+      std::vector<ClusterId> got;
+      table.CollectAdmitted(q, &got);
+      std::sort(got.begin(), got.end());
+      std::vector<ClusterId> expect;
+      for (const auto& [id, sig] : sigs) {
+        if (sig.AdmitsQuery(q)) expect.push_back(id);
       }
-      check(Query(shifted, rel), "shifted");
+      EXPECT_EQ(got, expect) << what << " rel=" << static_cast<int>(q.rel);
+    };
+
+    for (const Relation rel : {Relation::kIntersects, Relation::kContainedBy,
+                               Relation::kEncloses}) {
+      for (int i = 0; i < 200; ++i) {
+        check(Query(testutil::RandomBox(rng, kNd, 0.6f), rel), "in-domain");
+      }
+      // Adversarial fixed probes on both paths.
+      check(Query(MakeBoxAll(0.0f, 0.0f), rel), "zero corner");
+      check(Query(MakeBoxAll(1.0f, 1.0f), rel), "one corner");
+      check(Query(MakeBoxAll(0.25f, 0.25f), rel), "piece boundary point");
+      check(Query(MakeBoxAll(-0.5f, -0.2f), rel), "below domain");
+      check(Query(MakeBoxAll(1.01f, 1.5f), rel), "above domain");
+      check(Query(MakeBoxAll(-0.1f, 1.1f), rel), "superset of domain");
+      for (int i = 0; i < 100; ++i) {
+        // Random boxes shifted partially outside the domain.
+        Box b = testutil::RandomBox(rng, kNd, 0.5f);
+        Box shifted(kNd);
+        for (Dim d = 0; d < kNd; ++d) {
+          const float off = (rng.NextFloat() - 0.5f);
+          shifted.set(d, b.lo(d) + off, b.hi(d) + off);
+        }
+        check(Query(shifted, rel), "shifted");
+      }
     }
   }
 }

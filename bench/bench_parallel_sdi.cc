@@ -553,10 +553,7 @@ struct AdaptiveRoutingResult {
   size_t converge_events = 0;   ///< events streamed until the switch fired
   size_t rounds = 0;            ///< full event-set passes streamed
   uint32_t fence_dim_final = 0;
-  int32_t split_dim_final = -1;
   uint64_t dimension_switches = 0;
-  uint64_t overflow_splits = 0;
-  uint64_t straddlers_split = 0;
   uint64_t windows_evaluated = 0;
   double visits_pre = 0.0;   ///< shard visits/event, first (dim-0) batch
   double visits_post = 0.0;  ///< shard visits/event, post-convergence pass
@@ -567,7 +564,7 @@ struct AdaptiveRoutingResult {
   bool converged = false;
 };
 
-/// Streams a dimension-shifted workload through an advisor-enabled kRange
+/// Streams a dimension-shifted workload through an adaptive-routing kRange
 /// engine until the online fence-dimension switch fires, then measures the
 /// post-convergence routing economics. A broadcast engine with the same
 /// subscription ids provides the exact per-event oracle: every pass of the
@@ -590,7 +587,6 @@ AdaptiveRoutingResult RunAdaptiveRouting(size_t threads, size_t subs,
   aopts.sharding = ShardingPolicy::kRange;
   aopts.adaptive.enabled = true;
   aopts.adaptive.sample_window = static_cast<uint32_t>(sample_window);
-  aopts.adaptive.overflow_split_shards = 2;
   SubscriptionEngine adaptive(schema, aopts);
   EngineOptions bopts = aopts;
   bopts.sharding = ShardingPolicy::kHashId;
@@ -647,7 +643,7 @@ AdaptiveRoutingResult RunAdaptiveRouting(size_t threads, size_t subs,
       if (visits != nullptr) *visits += res.TotalShardVisits();
       if (first_batch && r.rounds == 0) {
         // Pre-adaptation snapshot: the first batch runs before the first
-        // advisor window (batch < sample_window), still fenced on dim 0.
+        // adaptive window (batch < sample_window), still fenced on dim 0.
         r.visits_pre = static_cast<double>(res.TotalShardVisits()) /
                        static_cast<double>(ne);
         first_batch = false;
@@ -660,7 +656,7 @@ AdaptiveRoutingResult RunAdaptiveRouting(size_t threads, size_t subs,
     if (pass_digest != r.match_digest) r.digests_equal = false;
   };
 
-  // Converge: stream full passes until the advisor switches dimensions.
+  // Converge: stream full passes until the engine switches dimensions.
   while (r.rounds < max_rounds) {
     one_pass(nullptr, nullptr);
     ++r.rounds;
@@ -681,11 +677,8 @@ AdaptiveRoutingResult RunAdaptiveRouting(size_t threads, size_t subs,
 
   const AdaptiveRoutingStats st = adaptive.adaptive_stats();
   r.fence_dim_final = st.fence_dimension;
-  r.split_dim_final = st.split_dimension;
   r.dimension_switches = st.dimension_switches;
-  r.overflow_splits = st.overflow_splits;
   r.windows_evaluated = st.windows_evaluated;
-  r.straddlers_split = adaptive.rebalance_stats().straddlers_split;
   return r;
 }
 
@@ -1189,15 +1182,12 @@ int main() {
       "\nadaptive routing (hot dim %u, fences start on dim 0): %zu "
       "subscriptions, %zu events/pass, window %zu\n",
       static_cast<unsigned>(kAdaptHotDim), ad_subs, ad_events, ad_window);
-  std::printf("%12s %12s %10s %8s %8s %10s %12s\n", "visits pre",
-              "visits post", "fence dim", "switches", "splits", "windows",
-              "split subs");
-  std::printf("%12.2f %12.2f %10u %8llu %8llu %10llu %12llu\n", ad.visits_pre,
+  std::printf("%12s %12s %10s %8s %10s\n", "visits pre", "visits post",
+              "fence dim", "switches", "windows");
+  std::printf("%12.2f %12.2f %10u %8llu %10llu\n", ad.visits_pre,
               ad.visits_post, ad.fence_dim_final,
               static_cast<unsigned long long>(ad.dimension_switches),
-              static_cast<unsigned long long>(ad.overflow_splits),
-              static_cast<unsigned long long>(ad.windows_evaluated),
-              static_cast<unsigned long long>(ad.straddlers_split));
+              static_cast<unsigned long long>(ad.windows_evaluated));
   // Exactness gate: every adaptive pass — including the one carrying the
   // dimension-switch migration — must reproduce the broadcast digest.
   if (!ad.digests_equal) {
@@ -1207,7 +1197,7 @@ int main() {
                  static_cast<unsigned long long>(ad.match_digest));
     return 1;
   }
-  // Convergence gate: the advisor must actually move off dimension 0.
+  // Convergence gate: routing must actually move off dimension 0.
   if (!ad.converged || ad.fence_dim_final != kAdaptHotDim) {
     std::fprintf(stderr,
                  "ADAPTIVE CONVERGENCE FAILURE: %llu switches in %zu "
@@ -1502,8 +1492,7 @@ int main() {
       "    \"subscriptions\": %zu,\n    \"events_per_pass\": %zu,\n"
       "    \"threads\": %zu,\n    \"sample_window\": %zu,\n"
       "    \"hot_dim\": %u,\n    \"fence_dim_final\": %u,\n"
-      "    \"split_dim_final\": %d,\n    \"dimension_switches\": %llu,\n"
-      "    \"overflow_splits\": %llu,\n    \"straddlers_split\": %llu,\n"
+      "    \"dimension_switches\": %llu,\n"
       "    \"windows_evaluated\": %llu,\n"
       "    \"converge_events\": %zu,\n"
       "    \"visits_per_event_pre\": %.3f,\n"
@@ -1515,10 +1504,7 @@ int main() {
       "    \"digest_equal_broadcast\": %s\n  },\n",
       ad_subs, ad_events, sk_threads, ad_window,
       static_cast<unsigned>(kAdaptHotDim), ad.fence_dim_final,
-      ad.split_dim_final,
       static_cast<unsigned long long>(ad.dimension_switches),
-      static_cast<unsigned long long>(ad.overflow_splits),
-      static_cast<unsigned long long>(ad.straddlers_split),
       static_cast<unsigned long long>(ad.windows_evaluated),
       ad.converge_events, ad.visits_pre, ad.visits_post, visit_gate,
       ad.wall_ms_post,

@@ -18,23 +18,15 @@ void QueryPatternTracker::Record(const PatternAccumulator& acc) {
 void QueryPatternTracker::RecordEvent(const Box& b) {
   events_observed_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
-  PatternSnapshot& gen = ring_[current_];
-  ++gen.events;
-  for (Dim d = 0; d < nd_; ++d) {
-    ++gen.event_dims[d].lo[PatternBinOf(b.lo(d))];
-    ++gen.event_dims[d].hi[PatternBinOf(b.hi(d))];
-  }
+  ++ring_[current_].events;
+  BinBox(b, &ring_[current_].event_dims);
 }
 
 void QueryPatternTracker::RecordSubscription(const Box& b) {
   subscriptions_observed_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
-  PatternSnapshot& gen = ring_[current_];
-  ++gen.subscriptions;
-  for (Dim d = 0; d < nd_; ++d) {
-    ++gen.sub_dims[d].lo[PatternBinOf(b.lo(d))];
-    ++gen.sub_dims[d].hi[PatternBinOf(b.hi(d))];
-  }
+  ++ring_[current_].subscriptions;
+  BinBox(b, &ring_[current_].sub_dims);
 }
 
 PatternSnapshot QueryPatternTracker::Snapshot() const {

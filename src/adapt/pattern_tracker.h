@@ -16,7 +16,7 @@
 // merge it into the tracker with ONE mutex acquisition per batch. The
 // tracker's mutex is therefore held O(dims) per MatchBatch, never O(events).
 //
-// Windowing: the histograms form a small ring of generations. The advisor
+// Windowing: the histograms form a small ring of generations. The engine
 // rotates the ring once per evaluation window (AdvanceWindow), dropping
 // the oldest generation; Snapshot() sums the ring. Observations therefore
 // age out after kGenerations windows — the analyzer sees a sliding window
@@ -35,9 +35,9 @@
 
 namespace accl::adapt {
 
-/// Histogram resolution over [0,1]. 64 bins puts every planned fence (the
-/// advisor's and RebalanceOnce's — both come from PlanFences) on a ~0.016
-/// grid while keeping a full per-dimension pattern at 1KiB.
+/// Histogram resolution over [0,1]. 64 bins puts every planned fence (a
+/// dimension switch's and RebalanceOnce's — both come from PlanFences) on
+/// a ~0.016 grid while keeping a full per-dimension pattern at 1KiB.
 inline constexpr size_t kPatternBins = 64;
 
 /// Bin of a normalized coordinate (clamped: out-of-domain coordinates
@@ -64,6 +64,19 @@ struct DimPattern {
     hi.fill(0);
   }
 };
+
+/// Bins one box's lower and upper endpoints into `dims` (one DimPattern
+/// per dimension): the binning step of every sampling path, batched or
+/// not. B is Box or BoxView.
+template <typename B>
+void BinBox(const B& b, std::vector<DimPattern>* dims) {
+  const size_t nd = dims->size();
+  for (size_t d = 0; d < nd; ++d) {
+    DimPattern& p = (*dims)[d];
+    ++p.lo[PatternBinOf(b.lo(static_cast<Dim>(d)))];
+    ++p.hi[PatternBinOf(b.hi(static_cast<Dim>(d)))];
+  }
+}
 
 /// One generation (or the summed snapshot) of the tracked workload.
 struct PatternSnapshot {
@@ -99,40 +112,30 @@ class PatternAccumulator {
 
   void AddEvent(const Box& b) {
     ++data_.events;
-    AddBox(b, &data_.event_dims);
+    BinBox(b, &data_.event_dims);
   }
   void AddSubscription(const Box& b) {
     ++data_.subscriptions;
-    AddBox(b, &data_.sub_dims);
+    BinBox(b, &data_.sub_dims);
   }
   void AddSubscription(BoxView b) {
     ++data_.subscriptions;
-    AddBox(b, &data_.sub_dims);
+    BinBox(b, &data_.sub_dims);
   }
 
   const PatternSnapshot& data() const { return data_; }
   bool empty() const { return data_.events == 0 && data_.subscriptions == 0; }
 
  private:
-  template <typename B>
-  void AddBox(const B& b, std::vector<DimPattern>* dims) {
-    const size_t nd = dims->size();
-    for (size_t d = 0; d < nd; ++d) {
-      DimPattern& p = (*dims)[d];
-      ++p.lo[PatternBinOf(b.lo(static_cast<Dim>(d)))];
-      ++p.hi[PatternBinOf(b.hi(static_cast<Dim>(d)))];
-    }
-  }
-
   PatternSnapshot data_;
 };
 
 /// The shared tracker. All methods are thread-safe; the intended usage is
 /// accumulator-fold-then-Record from hot paths and Snapshot/AdvanceWindow
-/// from the advisor (under the engine's rebalance lock).
+/// from the engine's window evaluation (under its rebalance lock).
 class QueryPatternTracker {
  public:
-  /// Generations in the sliding window. The advisor rotates once per
+  /// Generations in the sliding window. The engine rotates once per
   /// evaluation window, so observations persist for 4 windows.
   static constexpr size_t kGenerations = 4;
 

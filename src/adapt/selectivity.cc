@@ -116,4 +116,27 @@ std::vector<float> SelectivityAnalyzer::PlanFences(const PatternSnapshot& p,
   return fences;
 }
 
+FenceChoice ChooseFenceDimension(const PatternSnapshot& p,
+                                 uint32_t current_dim, uint32_t slices) {
+  FenceChoice c;
+  if (p.events == 0 || p.subscriptions == 0 || slices < 2) {
+    return c;  // nothing observed yet, or a single slice: nothing to route
+  }
+  c.estimates = SelectivityAnalyzer::Analyze(p, slices);
+  if (current_dim >= c.estimates.size()) return c;
+  size_t best = current_dim;
+  for (size_t cand = 0; cand < c.estimates.size(); ++cand) {
+    if (c.estimates[cand].score < c.estimates[best].score) best = cand;
+  }
+  const double best_score = c.estimates[best].score;
+  if (best != current_dim && best_score > 0.0 &&
+      c.estimates[current_dim].score >= kSwitchThreshold * best_score) {
+    c.switch_dimension = true;
+    c.dim = static_cast<uint32_t>(best);
+    c.fences = SelectivityAnalyzer::PlanFences(p, static_cast<Dim>(best),
+                                               slices - 1);
+  }
+  return c;
+}
+
 }  // namespace accl::adapt

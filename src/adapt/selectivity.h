@@ -2,8 +2,8 @@
 // what range routing would cost if the fences were placed there.
 //
 // Pure functions over a PatternSnapshot: no locks, no engine state, fully
-// deterministic — the advisor's decisions (and therefore the fuzzers'
-// replays) are reproducible from the histogram contents alone.
+// deterministic — routing decisions (and therefore the fuzzers' replays)
+// are reproducible from the histogram contents alone.
 //
 // The model, per dimension d with R range slices:
 //
@@ -11,7 +11,7 @@
 //     subscription interval-center distribution (approximated at bin
 //     resolution by the mean of the lower- and upper-endpoint cumulative
 //     histograms). PlanFences emits exactly these fences, and it is the
-//     engine's only fence planner (advisor switches and RebalanceOnce),
+//     engine's only fence planner (dimension switches and RebalanceOnce),
 //     so the estimate prices the fences the engine would install.
 //   - Expected shard visits per event: an event visits one slice per fence
 //     its interval crosses, plus its home slice, plus the overflow shard.
@@ -52,5 +52,28 @@ class SelectivityAnalyzer {
   static std::vector<float> PlanFences(const PatternSnapshot& p, Dim dim,
                                        size_t n_fences);
 };
+
+/// A dimension switch needs the current fence dimension's score to be at
+/// least this multiple of the best candidate's: a margin of 1 or less would
+/// let estimation noise flip the dimension back and forth every window.
+inline constexpr double kSwitchThreshold = 1.5;
+
+/// One observation window's routing decision (ChooseFenceDimension).
+struct FenceChoice {
+  /// Analyze's per-dimension estimates; empty when the window saw no
+  /// events or no subscriptions, or when there is a single slice.
+  std::vector<DimensionEstimate> estimates;
+  /// True when routing should re-fence on `dim` with `fences`.
+  bool switch_dimension = false;
+  uint32_t dim = 0;
+  std::vector<float> fences;  ///< slices-1 interior fences on `dim`
+};
+
+/// The adaptive routing rule: take the lowest-scoring dimension from
+/// Analyze and switch to it when `current_dim`'s score is at least
+/// kSwitchThreshold times that best score, with PlanFences' fences on it.
+/// Pure: the outcome depends on the arguments alone.
+FenceChoice ChooseFenceDimension(const PatternSnapshot& p,
+                                 uint32_t current_dim, uint32_t slices);
 
 }  // namespace accl::adapt

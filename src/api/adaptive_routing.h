@@ -1,19 +1,20 @@
 // Configuration and statistics types of the workload-adaptive routing
-// subsystem (src/adapt/): online fence-dimension selection and
-// overflow-shard splitting for the range-routed SDI engine.
+// subsystem (src/adapt/): online fence-dimension selection for the
+// range-routed SDI engine.
 //
 // The paper's index adapts each cluster to its observed queries; these
 // types lift the same idea one level up, to the *routing* layer. kRange
-// slices shards over one fence dimension — historically the hard-coded
-// leading dimension — and parks fence-straddlers in an overflow shard.
-// When the workload's real selectivity lives on another axis, routing
-// degrades toward broadcast. The adaptive subsystem observes event and
-// subscription interval distributions per dimension (QueryPatternTracker),
-// predicts each candidate dimension's routing selectivity under an optimal
-// fence set (SelectivityAnalyzer), and switches the fence dimension or
-// splits the overflow shard online (RoutingAdvisor), through the same
-// epoch-snapshot + double-residency migration machinery rebalancing uses —
-// so match sets stay byte-identical to the serial oracle at every instant.
+// slices shards over one fence dimension — dimension 0 at construction —
+// and parks fence-straddlers in an overflow shard. When the workload's
+// real selectivity lives on another axis, routing degrades toward
+// broadcast. The adaptive subsystem observes event and subscription
+// interval distributions per dimension (QueryPatternTracker), predicts
+// each candidate dimension's routing selectivity under an optimal fence
+// set (SelectivityAnalyzer), and, when another dimension is predicted
+// kSwitchThreshold times cheaper, re-fences on it online
+// (ChooseFenceDimension) through the same epoch-snapshot +
+// double-residency migration rebalancing uses — so match sets stay
+// byte-identical to the serial oracle at every instant.
 //
 // These types live in api/ so the engine's options/stats surface does not
 // depend on the adapt/ implementation layer.
@@ -33,47 +34,11 @@ struct AdaptiveRoutingOptions {
   /// no routing dimension to adapt.
   bool enabled = false;
 
-  /// Events between advisor evaluations (the observation window). Each
-  /// window the advisor snapshots the pattern histograms, re-estimates
-  /// per-dimension selectivity, and may execute one routing change. Must
+  /// Events between routing evaluations (the observation window). Each
+  /// window the engine snapshots the pattern histograms, re-estimates
+  /// per-dimension selectivity, and may switch the fence dimension. Must
   /// be >= 1 when enabled (a zero window would evaluate on every event).
   uint32_t sample_window = 4096;
-
-  /// A dimension switch requires the current dimension's predicted cost to
-  /// be at least this multiple of the best candidate's (default: switch
-  /// only for a predicted >= 1.5x selectivity win). Must be > 1 when
-  /// enabled — a threshold of 1 or less lets estimation noise flip the
-  /// dimension back and forth every window.
-  double switch_threshold = 1.5;
-
-  /// Overflow-split trigger: straddler pressure (catch-all overflow-shard
-  /// residents as a fraction of all subscriptions) must reach this
-  /// level... must be in (0, 1] when enabled.
-  double split_straddler_threshold = 0.25;
-
-  /// ...for this many consecutive advisor windows before the overflow
-  /// shard is split (straddler pressure under well-placed fences is a
-  /// steady-state property, not a one-window blip). Must be >= 1 when
-  /// enabled.
-  uint32_t split_patience = 2;
-
-  /// Overflow sub-shards reserved for splitting (0 = splitting disabled;
-  /// requires kRange when > 0). The engine allocates these physically at
-  /// construction; they stay empty and unvisited until a split activates.
-  /// With a split on dimension d2, a straddler whose d2 interval fits one
-  /// split slice lives in that sub-shard and an event visits only the
-  /// sub-shards its own d2 interval overlaps — the catch-all overflow
-  /// shard keeps only double-straddlers.
-  uint32_t overflow_split_shards = 0;
-
-  /// Initial fence dimension (-1 = dimension 0, the historical default).
-  /// Must name a schema dimension when >= 0. The advisor may move off it.
-  int32_t fence_dim = -1;
-
-  /// Pinned overflow-split dimension (-1 = the advisor picks the most
-  /// selective dimension other than the fence dimension). Must name a
-  /// schema dimension when >= 0.
-  int32_t split_dim = -1;
 };
 
 /// What the analyzer predicts for routing on one candidate dimension,
@@ -98,18 +63,14 @@ struct AdaptiveRoutingStats {
   bool enabled = false;
   /// Fence dimension of the current routing snapshot.
   uint32_t fence_dimension = 0;
-  /// Overflow-split dimension of the current snapshot, or -1 when the
-  /// split is inactive.
-  int32_t split_dimension = -1;
   uint64_t dimension_switches = 0;
-  uint64_t overflow_splits = 0;
-  /// Advisor windows evaluated (each may or may not act).
+  /// Observation windows evaluated (each may or may not switch).
   uint64_t windows_evaluated = 0;
   /// Lifetime samples the tracker has folded in.
   uint64_t events_observed = 0;
   uint64_t subscriptions_observed = 0;
-  /// Per-dimension estimates of the most recent advisor window (empty
-  /// until the first window completes).
+  /// Per-dimension estimates of the most recent window (empty before the
+  /// first window, and after one that saw no events or no subscriptions).
   std::vector<DimensionEstimate> last_estimates;
 };
 

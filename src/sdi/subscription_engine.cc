@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
 #include <thread>
 #include <tuple>
 #include <unordered_set>
@@ -13,7 +12,6 @@
 #include <cmath>
 
 #include "adapt/pattern_tracker.h"
-#include "adapt/routing_advisor.h"
 #include "adapt/selectivity.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
@@ -39,17 +37,13 @@ uint32_t SliceOf(const std::vector<float>& bounds, float x) {
       std::upper_bound(bounds.begin(), bounds.end(), x) - bounds.begin());
 }
 
-/// The one fence-array check (range boundaries and overflow-split fences
-/// alike): between `min_size` and `max_size` entries, every value finite,
+/// The one fence-array check: exactly `size` entries, every value finite,
 /// strictly ascending. Returns null for a usable array, else what is wrong
 /// with it. Finiteness is checked per element, so a one-fence array —
 /// which has no adjacent pair for the ascent check — cannot smuggle in a
 /// NaN that would break SliceOf's ordering.
-const char* FenceArrayProblem(const std::vector<float>& fences,
-                              size_t min_size, size_t max_size) {
-  if (fences.size() < min_size || fences.size() > max_size) {
-    return "has the wrong number of fences";
-  }
+const char* FenceArrayProblem(const std::vector<float>& fences, size_t size) {
+  if (fences.size() != size) return "has the wrong number of fences";
   for (size_t i = 0; i < fences.size(); ++i) {
     if (!std::isfinite(fences[i])) return "must hold only finite values";
     if (i > 0 && !(fences[i - 1] < fences[i])) {
@@ -180,15 +174,9 @@ struct SubscriptionEngine::EngineObs {
             "scan+insert+grace+cleanup duration per routing change (us)")),
         dimension_switches(r->GetCounter(
             "accl_adapt_dimension_switches_total",
-            "online fence-dimension switches (advisor or manual)")),
-        overflow_splits(r->GetCounter(
-            "accl_adapt_overflow_splits_total",
-            "overflow-shard split activations (advisor or manual)")),
-        straddlers_split(r->GetCounter(
-            "accl_adapt_straddlers_split_total",
-            "straddlers moved out of the catch-all shard by splits")),
+            "online fence-dimension switches (adaptive or manual)")),
         windows_evaluated(r->GetCounter("accl_adapt_windows_evaluated_total",
-                                        "advisor windows evaluated")),
+                                        "adaptive routing windows evaluated")),
         subscriptions(r->GetGauge("accl_engine_subscriptions",
                                   "live subscriptions")),
         heap_allocs(r->GetGauge(
@@ -213,8 +201,6 @@ struct SubscriptionEngine::EngineObs {
   obs::Counter* subs_migrated;
   obs::Histogram* migration_us;
   obs::Counter* dimension_switches;
-  obs::Counter* overflow_splits;
-  obs::Counter* straddlers_split;
   obs::Counter* windows_evaluated;
   obs::Gauge* subscriptions;
   obs::Gauge* heap_allocs;
@@ -262,7 +248,7 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
     const char* why =
         o.range_boundaries.empty()
             ? nullptr
-            : FenceArrayProblem(o.range_boundaries, n, n);
+            : FenceArrayProblem(o.range_boundaries, n);
     if (why != nullptr) {
       return Status::InvalidArgument(
           std::string("range_boundaries ") + why +
@@ -270,44 +256,16 @@ Status SubscriptionEngine::ValidateOptions(const AttributeSchema& schema,
           "split)");
     }
   }
-  const AdaptiveRoutingOptions& a = o.adaptive;
-  if ((a.enabled || a.overflow_split_shards > 0 || a.fence_dim >= 0 ||
-       a.split_dim >= 0) &&
-      o.sharding != ShardingPolicy::kRange) {
-    return Status::InvalidArgument(
-        "adaptive routing (adaptive.enabled / overflow_split_shards / "
-        "fence_dim / split_dim) requires ShardingPolicy::kRange — kHashId "
-        "has no fence dimension to adapt");
-  }
-  if (a.fence_dim >= 0 &&
-      static_cast<uint32_t>(a.fence_dim) >= schema.dims()) {
-    return Status::InvalidArgument(
-        "adaptive.fence_dim must name a schema dimension");
-  }
-  if (a.split_dim >= 0 &&
-      static_cast<uint32_t>(a.split_dim) >= schema.dims()) {
-    return Status::InvalidArgument(
-        "adaptive.split_dim must name a schema dimension");
-  }
-  if (a.enabled) {
-    if (a.sample_window < 1) {
+  if (o.adaptive.enabled) {
+    if (o.sharding != ShardingPolicy::kRange) {
+      return Status::InvalidArgument(
+          "adaptive routing (adaptive.enabled) requires "
+          "ShardingPolicy::kRange — kHashId has no fence dimension to adapt");
+    }
+    if (o.adaptive.sample_window < 1) {
       return Status::InvalidArgument(
           "adaptive.sample_window must be >= 1 (a zero window would "
           "evaluate routing on every event)");
-    }
-    if (!(a.switch_threshold > 1.0)) {
-      return Status::InvalidArgument(
-          "adaptive.switch_threshold must be > 1 (and not NaN) — a "
-          "threshold of 1 or less lets estimation noise flip the fence "
-          "dimension every window");
-    }
-    if (!(a.split_straddler_threshold > 0.0) ||
-        a.split_straddler_threshold > 1.0) {
-      return Status::InvalidArgument(
-          "adaptive.split_straddler_threshold must be in (0, 1]");
-    }
-    if (a.split_patience < 1) {
-      return Status::InvalidArgument("adaptive.split_patience must be >= 1");
     }
   }
   // match_threads == 0 is documented as "caller thread does everything".
@@ -340,19 +298,10 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   obs_ = std::make_unique<EngineObs>(metrics_.get());
   epoch_.AttachMetrics(metrics_.get());
   options_.index.nd = schema_.dims();
-  RoutingPlan plan;
-  uint32_t physical_shards = options_.shards;
+  RoutingPlan plan;  // kRange starts fenced on dimension 0
   if (options_.sharding == ShardingPolicy::kRange) {
     range_routed_ = true;
     num_range_shards_ = options_.shards - 1;
-    // Split sub-shards are allocated up front (the shard table is never
-    // resized concurrently); they idle — empty and unrouted — until a
-    // split activates. The catch-all overflow shard stays LAST.
-    num_split_shards_ = options_.adaptive.overflow_split_shards;
-    physical_shards = options_.shards + num_split_shards_;
-    plan.dim = options_.adaptive.fence_dim >= 0
-                   ? static_cast<uint32_t>(options_.adaptive.fence_dim)
-                   : 0;
     if (!options_.range_boundaries.empty()) {
       plan.bounds = options_.range_boundaries;
     } else {
@@ -365,12 +314,10 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
     if (options_.adaptive.enabled) {
       tracker_ =
           std::make_unique<adapt::QueryPatternTracker>(schema_.dims());
-      advisor_ = std::make_unique<adapt::RoutingAdvisor>(options_.adaptive,
-                                                         schema_.dims());
     }
   }
-  shards_.reserve(physical_shards);
-  for (uint32_t s = 0; s < physical_shards; ++s) {
+  shards_.reserve(options_.shards);
+  for (uint32_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.index));
   }
   // ParallelFor includes the calling thread, so N-way matching needs N-1
@@ -416,40 +363,18 @@ uint32_t SubscriptionEngine::RangeShardFor(const RoutingPlan& plan,
   const Dim fd = static_cast<Dim>(plan.dim);
   const uint32_t a = SliceOf(plan.bounds, box.lo(fd));
   const uint32_t b = SliceOf(plan.bounds, box.hi(fd));
-  if (a == b) return a;
-  // Fence straddler. With an active split, a straddler whose
-  // split-dimension interval fits one split slice lives in that sub-shard;
-  // only double-straddlers fall through to the catch-all overflow shard.
-  if (plan.split_dim >= 0) {
-    const Dim sd = static_cast<Dim>(plan.split_dim);
-    const uint32_t ja = SliceOf(plan.split_bounds, box.lo(sd));
-    const uint32_t jb = SliceOf(plan.split_bounds, box.hi(sd));
-    if (ja == jb) return num_range_shards_ + ja;
-  }
-  return static_cast<uint32_t>(shards_.size() - 1);
+  return a == b ? a : static_cast<uint32_t>(shards_.size() - 1);
 }
 
 void SubscriptionEngine::RouteEvent(const RoutingPlan& plan, const Box& box,
                                     std::vector<uint32_t>* out) const {
-  // The slice span of the event's fence-dimension interval, then (split
-  // active) the sub-shards its split-dimension interval overlaps, then the
-  // catch-all overflow shard. Sub-shard ids sit strictly between the slice
-  // ids and the catch-all's, so the route list stays ascending — which the
-  // pipeline's deterministic per-shard execution order relies on. Routing
-  // stays exact: every supported relation implies per-dimension interval
-  // overlap, so an event overlaps a sub-shard resident's split slice span.
+  // The slice span of the event's fence-dimension interval, then the
+  // overflow shard: ascending, which the pipeline's deterministic
+  // per-shard execution order relies on.
   const Dim fd = static_cast<Dim>(plan.dim);
   const uint32_t a = SliceOf(plan.bounds, box.lo(fd));
   const uint32_t b = SliceOf(plan.bounds, box.hi(fd));
   for (uint32_t s = a; s <= b; ++s) out->push_back(s);
-  if (plan.split_dim >= 0) {
-    const Dim sd = static_cast<Dim>(plan.split_dim);
-    const uint32_t ja = SliceOf(plan.split_bounds, box.lo(sd));
-    const uint32_t jb = SliceOf(plan.split_bounds, box.hi(sd));
-    for (uint32_t j = ja; j <= jb; ++j) {
-      out->push_back(num_range_shards_ + j);
-    }
-  }
   out->push_back(static_cast<uint32_t>(shards_.size() - 1));
 }
 
@@ -713,11 +638,6 @@ uint32_t SubscriptionEngine::routing_dimension() const {
   return snapshot_.load(std::memory_order_seq_cst)->plan.dim;
 }
 
-int32_t SubscriptionEngine::overflow_split_dimension() const {
-  exec::EpochManager::Guard guard = epoch_.Pin();
-  return snapshot_.load(std::memory_order_seq_cst)->plan.split_dim;
-}
-
 uint64_t SubscriptionEngine::routing_version() const {
   exec::EpochManager::Guard guard = epoch_.Pin();
   return snapshot_.load(std::memory_order_seq_cst)->version;
@@ -806,10 +726,9 @@ void SubscriptionEngine::CaptureDurableImage(
   exec::EpochManager::Guard guard = epoch_.Pin();
   const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
   // The image stores the fence positions only: the learned fence DIMENSION
-  // and overflow split are runtime state and reset to the configured
-  // initial on recovery (the tracker re-learns them from live traffic;
-  // routing stays exact either way because residency is always computed
-  // under the recovering engine's own snapshot).
+  // is runtime state, and a recovered engine starts on dimension 0 (routing
+  // stays exact either way because residency is always computed under the
+  // recovering engine's own snapshot).
   out->fences = snap->plan.bounds;
   out->routing_version = snap->version;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
@@ -1379,60 +1298,23 @@ void SubscriptionEngine::MaybeAutoAdapt(uint64_t events) {
   adapt_inflight_.store(false, std::memory_order_release);
 }
 
-bool SubscriptionEngine::EvaluateAdaptiveLocked() {
+void SubscriptionEngine::EvaluateAdaptiveLocked() {
   obs_->windows_evaluated->Add(1);
   const adapt::PatternSnapshot pattern = tracker_->Snapshot();
   tracker_->AdvanceWindow();
-  const RoutingPlan& cur = SnapshotUnderRebalanceLock()->plan;
-
-  adapt::AdvisorState st;
-  st.current_dim = cur.dim;
-  st.split_active = cur.split_dim >= 0;
-  st.range_slices = num_range_shards_;
-  st.split_slices = num_split_shards_;
-  st.overflow_residents =
-      shards_.back()->subs.load(std::memory_order_relaxed);
-  st.total_subscriptions =
-      subscription_count_.load(std::memory_order_relaxed);
-
-  adapt::RoutingDecision d = advisor_->Evaluate(pattern, st);
+  adapt::FenceChoice c = adapt::ChooseFenceDimension(
+      pattern, SnapshotUnderRebalanceLock()->plan.dim, num_range_shards_);
   {
     std::lock_guard<std::mutex> lk(adapt_estimates_mu_);
-    last_estimates_ = std::move(d.estimates);
+    last_estimates_ = std::move(c.estimates);
   }
-  switch (d.kind) {
-    case adapt::RoutingDecision::Kind::kNone:
-      return false;
-    case adapt::RoutingDecision::Kind::kSwitchDimension: {
-      // Re-fence on the winning dimension; any resident anywhere may
-      // re-route (straddlers become non-straddlers and vice versa), so
-      // the scan covers every shard. An active split dies with the old
-      // dimension's straddler population.
-      RoutingPlan plan;
-      plan.dim = d.dim;
-      plan.bounds = std::move(d.fences);
-      ApplyRoutingLocked(std::move(plan), AllShardIds());
-      obs_->dimension_switches->Add(1);
-      ACCL_TRACE_INSTANT("adapt_dimension_switch", d.dim);
-      // The old pattern argued for this switch; it must not immediately
-      // argue again.
-      tracker_->ResetWindow();
-      return true;
-    }
-    case adapt::RoutingDecision::Kind::kSplitOverflow: {
-      RoutingPlan plan = cur;
-      plan.split_dim = static_cast<int32_t>(d.dim);
-      plan.split_bounds = std::move(d.fences);
-      const size_t moved =
-          ApplyRoutingLocked(std::move(plan), OverflowShardIds());
-      obs_->overflow_splits->Add(1);
-      obs_->straddlers_split->Add(moved);
-      ACCL_TRACE_INSTANT("adapt_overflow_split",
-                         static_cast<uint32_t>(moved));
-      return true;
-    }
-  }
-  return false;
+  if (!c.switch_dimension) return;
+  ApplyRoutingLocked(RoutingPlan{c.dim, std::move(c.fences)});
+  obs_->dimension_switches->Add(1);
+  ACCL_TRACE_INSTANT("adapt_dimension_switch", c.dim);
+  // The old pattern argued for this switch; it must not immediately argue
+  // again.
+  tracker_->ResetWindow();
 }
 
 AdaptiveRoutingStats SubscriptionEngine::adaptive_stats() const {
@@ -1442,10 +1324,8 @@ AdaptiveRoutingStats SubscriptionEngine::adaptive_stats() const {
     exec::EpochManager::Guard guard = epoch_.Pin();
     const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
     st.fence_dimension = snap->plan.dim;
-    st.split_dimension = snap->plan.split_dim;
   }
   st.dimension_switches = obs_->dimension_switches->Value();
-  st.overflow_splits = obs_->overflow_splits->Value();
   st.windows_evaluated = obs_->windows_evaluated->Value();
   if (tracker_ != nullptr) {
     st.events_observed = tracker_->events_observed();
@@ -1464,8 +1344,6 @@ SubscriptionEngine::RebalanceStats SubscriptionEngine::rebalance_stats()
   st.boundary_moves = obs_->boundary_moves->Value();
   st.subscriptions_migrated = obs_->subs_migrated->Value();
   st.dimension_switches = obs_->dimension_switches->Value();
-  st.overflow_splits = obs_->overflow_splits->Value();
-  st.straddlers_split = obs_->straddlers_split->Value();
   return st;
 }
 
@@ -1486,36 +1364,19 @@ bool SubscriptionEngine::RebalanceOnce() {
       residents.data(), static_cast<Dim>(plan.dim), num_range_shards_ - 1);
   if (fences == plan.bounds) return false;
   plan.bounds = std::move(fences);
-  ApplyRoutingLocked(std::move(plan), AllShardIds());
+  ApplyRoutingLocked(std::move(plan));
   obs_->boundary_moves->Add(1);
   return true;
-}
-
-std::vector<uint32_t> SubscriptionEngine::AllShardIds() const {
-  std::vector<uint32_t> all(shards_.size());
-  std::iota(all.begin(), all.end(), 0u);
-  return all;
-}
-
-std::vector<uint32_t> SubscriptionEngine::OverflowShardIds() const {
-  std::vector<uint32_t> ids;
-  for (uint32_t s = num_range_shards_; s < shards_.size(); ++s) {
-    ids.push_back(s);
-  }
-  return ids;
 }
 
 bool SubscriptionEngine::SetRangeBoundaries(const std::vector<float>& bounds) {
   if (!range_routed_) return false;
   const size_t n = static_cast<size_t>(num_range_shards_) - 1;
-  if (FenceArrayProblem(bounds, n, n) != nullptr) return false;
+  if (FenceArrayProblem(bounds, n) != nullptr) return false;
   std::lock_guard<std::mutex> lk(rebalance_mu_);
-  // Arbitrary table change: any shard may hold re-routed residents, so the
-  // migration scan covers all of them (overflow drains too). The fence
-  // dimension and split state carry over unchanged.
-  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  plan.bounds = bounds;
-  ApplyRoutingLocked(std::move(plan), AllShardIds());
+  // The fence dimension carries over unchanged.
+  ApplyRoutingLocked(RoutingPlan{SnapshotUnderRebalanceLock()->plan.dim,
+                                 bounds});
   obs_->boundary_moves->Add(1);
   return true;
 }
@@ -1525,59 +1386,26 @@ bool SubscriptionEngine::SetRoutingDimension(uint32_t dim) {
   std::lock_guard<std::mutex> lk(rebalance_mu_);
   const RoutingPlan& cur = SnapshotUnderRebalanceLock()->plan;
   if (cur.dim == dim) return true;
-  RoutingPlan plan;
-  plan.dim = dim;
-  plan.bounds = cur.bounds;  // positions retained; the straddler SET changes
-  // An active split is cleared: its slicing was chosen against the old
-  // dimension's straddler population.
-  ApplyRoutingLocked(std::move(plan), AllShardIds());
+  // Fence positions are retained; the straddler SET changes.
+  ApplyRoutingLocked(RoutingPlan{dim, cur.bounds});
   obs_->dimension_switches->Add(1);
   ACCL_TRACE_INSTANT("adapt_dimension_switch", dim);
   if (tracker_ != nullptr) tracker_->ResetWindow();
   return true;
 }
 
-bool SubscriptionEngine::SetOverflowSplit(uint32_t dim,
-                                          const std::vector<float>& fences) {
-  if (!range_routed_ || num_split_shards_ == 0 || dim >= schema_.dims() ||
-      FenceArrayProblem(fences, 0, num_split_shards_ - 1) != nullptr) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
-  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  plan.split_dim = static_cast<int32_t>(dim);
-  plan.split_bounds = fences;
-  // Only the overflow family can re-route: range-slice residents are not
-  // straddlers, so their home is unaffected by split fences.
-  const size_t moved = ApplyRoutingLocked(std::move(plan), OverflowShardIds());
-  obs_->overflow_splits->Add(1);
-  obs_->straddlers_split->Add(moved);
-  ACCL_TRACE_INSTANT("adapt_overflow_split", static_cast<uint32_t>(moved));
-  return true;
-}
-
-bool SubscriptionEngine::ClearOverflowSplit() {
-  if (!range_routed_) return false;
-  std::lock_guard<std::mutex> lk(rebalance_mu_);
-  RoutingPlan plan = SnapshotUnderRebalanceLock()->plan;
-  if (plan.split_dim < 0) return true;
-  plan.split_dim = -1;
-  plan.split_bounds.clear();
-  ApplyRoutingLocked(std::move(plan), OverflowShardIds());
-  return true;
-}
-
-size_t SubscriptionEngine::ApplyRoutingLocked(
-    RoutingPlan plan, const std::vector<uint32_t>& scan_shards) {
+void SubscriptionEngine::ApplyRoutingLocked(RoutingPlan plan) {
   ACCL_TRACE_SPAN_ARG("routing_migrate",
-                      static_cast<uint32_t>(scan_shards.size()));
+                      static_cast<uint32_t>(shards_.size()));
   WallTimer migrate_timer;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
 
   // Phase 1 — scan: collect the residents the new table routes elsewhere.
-  // The box views die with the scan lock, so coordinates are copied out
-  // per destination. (Between migrations second_home_ is empty, so every
-  // physical resident seen here is an owned, single-resident copy.)
+  // Any shard may hold one (a straddler may stop straddling and vice
+  // versa), so every shard is scanned. The box views die with the scan
+  // lock, so coordinates are copied out per destination. (Between
+  // migrations second_home_ is empty, so every physical resident seen here
+  // is an owned, single-resident copy.)
   struct Outgoing {
     std::vector<ObjectId> ids;
     std::vector<float> coords;
@@ -1588,8 +1416,8 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
     std::vector<std::pair<ObjectId, uint32_t>> moved;   // (id, dst)
   };
   std::vector<SrcPlan> plans;
-  plans.reserve(scan_shards.size());
-  for (const uint32_t src : scan_shards) {
+  plans.reserve(shards_.size());
+  for (uint32_t src = 0; src < shards_.size(); ++src) {
     SrcPlan sp;
     sp.src = src;
     sp.outgoing.resize(shards_.size());
@@ -1689,7 +1517,6 @@ size_t SubscriptionEngine::ApplyRoutingLocked(
   obs_->subs_migrated->Add(migrated);
   obs_->migration_us->Record(static_cast<uint64_t>(std::max(
       0.0, std::round(migrate_timer.ElapsedMs() * 1000.0))));
-  return migrated;
 }
 
 bool SubscriptionEngine::MakePointEvent(

@@ -20,31 +20,27 @@
 // so the reorganization logic itself is untouched by concurrency.
 //
 // Range-routed dispatch (ShardingPolicy::kRange): shards 0..K-2 own
-// contiguous slices of the *fence dimension's* domain (dimension 0 by
-// default; configurable, and switched online by the adaptive subsystem —
+// contiguous slices of the *fence dimension's* domain (dimension 0 at
+// construction; moved by SetRoutingDimension or the adaptive subsystem —
 // see below), delimited by a sorted boundary array; the last shard is the
 // *overflow* shard holding every subscription whose fence-dimension
 // interval straddles a boundary. An event is dispatched only to the
 // shards whose slice its box overlaps (two binary searches) plus the
 // overflow shard — never broadcast — and because any spatial relation the
 // engine supports implies interval overlap in every dimension, the routed
-// match sets stay exact.
+// match sets stay exact. The routing plan is exactly (fence dimension,
+// fences).
 //
 // Workload-adaptive routing (src/adapt/, EngineOptions::adaptive): a
 // lock-cheap QueryPatternTracker samples per-dimension event/subscription
 // interval histograms on the match and subscribe paths; every
-// sample_window events a RoutingAdvisor compares the predicted routing
-// selectivity of every candidate fence dimension (SelectivityAnalyzer)
-// and, when another dimension is predicted switch_threshold× more
-// selective, re-fences the engine on that dimension online — through the
-// same epoch-snapshot + double-residency migration rebalancing uses, so
-// match sets stay exact throughout. When the overflow shard stays hot
-// under well-placed fences (sustained straddler pressure: overflow
-// residents over all subscriptions), the advisor splits it on a second
-// dimension into pre-allocated sub-shards: a straddler whose
-// split-dimension interval fits one split slice moves to that sub-shard,
-// and events visit only the sub-shards their own split-dimension interval
-// overlaps instead of one monolithic overflow.
+// sample_window events adapt::ChooseFenceDimension compares the predicted
+// routing selectivity of every candidate fence dimension
+// (SelectivityAnalyzer) and, when another dimension is predicted
+// adapt::kSwitchThreshold (1.5) times more selective, the engine re-fences
+// on that dimension online — through the same epoch-snapshot +
+// double-residency migration rebalancing uses, so match sets stay exact
+// throughout.
 //
 // Epoch-published routing snapshots: the fence array, the shard handle
 // table and a version number live in one immutable RoutingSnapshot behind
@@ -90,7 +86,6 @@ struct WalRecord;
 
 namespace adapt {
 class QueryPatternTracker;
-class RoutingAdvisor;
 }  // namespace adapt
 
 /// Identifier handed out for registered subscriptions.
@@ -115,8 +110,8 @@ enum class ShardingPolicy : uint8_t {
   kHashId = 0,
   /// Range partitioning with routed, non-broadcast event dispatch: shards
   /// 0..K-2 own contiguous slices of the fence dimension (dimension 0
-  /// unless adaptive.fence_dim or the online advisor says otherwise), the
-  /// last shard is the overflow shard for fence-straddling subscriptions.
+  /// until SetRoutingDimension or adaptive routing moves it), the last
+  /// shard is the overflow shard for fence-straddling subscriptions.
   /// Requires K >= 2. Supports online boundary rebalancing
   /// (RebalanceOnce) and workload-adaptive routing (EngineOptions::
   /// adaptive).
@@ -156,8 +151,8 @@ struct EngineOptions {
   /// [0,1] into K-1 slices.
   std::vector<float> range_boundaries;
 
-  /// Workload-adaptive routing: online fence-dimension selection and
-  /// overflow-shard splitting (kRange only; see api/adaptive_routing.h).
+  /// Workload-adaptive routing: online fence-dimension selection (kRange
+  /// only; see api/adaptive_routing.h).
   AdaptiveRoutingOptions adaptive;
 };
 
@@ -359,7 +354,7 @@ class SubscriptionEngine {
   /// Re-fences the current fence dimension at the equal-mass quantiles of
   /// the live subscriptions: folds every resident into a pattern
   /// histogram, plans the fences with SelectivityAnalyzer::PlanFences (the
-  /// advisor's planner), and migrates through the double-residency
+  /// planner dimension switches use), and migrates through the double-residency
   /// protocol (see the class comment). Returns true when the fences moved;
   /// false for non-range engines or when the plan equals the current
   /// fences (so a second call right after a first one is a no-op).
@@ -369,13 +364,8 @@ class SubscriptionEngine {
   struct RebalanceStats {
     uint64_t boundary_moves = 0;
     uint64_t subscriptions_migrated = 0;
-    /// Online fence-dimension switches executed (advisor or manual).
+    /// Online fence-dimension switches executed (adaptive or manual).
     uint64_t dimension_switches = 0;
-    /// Overflow-shard split activations (advisor or manual), and the
-    /// straddlers those activations moved out of the catch-all shard into
-    /// split sub-shards.
-    uint64_t overflow_splits = 0;
-    uint64_t straddlers_split = 0;
   };
   /// Thin atomic snapshot read of the registry-backed rebalance counters
   /// (safe from any thread, racy-exact like every obs::Counter read).
@@ -387,40 +377,17 @@ class SubscriptionEngine {
   /// engines). Taken under an epoch pin; lock-free.
   uint32_t routing_dimension() const;
 
-  /// Split dimension of the current snapshot, or -1 when the overflow
-  /// split is inactive.
-  int32_t overflow_split_dimension() const;
-
-  /// Sub-shards physically reserved for overflow splitting
-  /// (adaptive.overflow_split_shards; 0 = splitting unavailable).
-  uint32_t overflow_split_capacity() const { return num_split_shards_; }
-
-  /// Manually re-fences routing on `dim` (the advisor's switch, forced):
-  /// the interior fence positions are retained, every resident the new
-  /// dimension routes elsewhere is migrated (double-residency protocol),
-  /// and an active overflow split is cleared (the straddler set changed).
+  /// Manually re-fences routing on `dim` (the adaptive switch, forced):
+  /// the interior fence positions are retained and every resident the new
+  /// dimension routes elsewhere is migrated (double-residency protocol).
   /// Returns false for non-range engines or a dimension outside the
   /// schema; returns true without a migration when `dim` is already the
   /// fence dimension.
   bool SetRoutingDimension(uint32_t dim);
 
-  /// Manually activates (or re-fences) the overflow split on `dim` with
-  /// the given finite, strictly ascending interior fences
-  /// (`fences.size() + 1` split slices; at most
-  /// overflow_split_capacity()). Catch-all
-  /// straddlers whose `dim` interval fits one split slice migrate into
-  /// that sub-shard. Returns false for non-range engines, zero split
-  /// capacity, a dimension outside the schema, or a malformed fence array.
-  bool SetOverflowSplit(uint32_t dim, const std::vector<float>& fences);
-
-  /// Deactivates the overflow split; sub-shard residents migrate back to
-  /// the catch-all shard. Returns false for non-range engines (a no-op
-  /// true when no split was active).
-  bool ClearOverflowSplit();
-
   /// Point-in-time view of the adaptive subsystem (valid — with
-  /// enabled=false and live routing fields — even when the advisor is
-  /// off).
+  /// enabled=false and live routing fields — even when adaptive routing
+  /// is off).
   AdaptiveRoutingStats adaptive_stats() const;
 
   // ---- Epoch subsystem introspection ----
@@ -488,8 +455,9 @@ class SubscriptionEngine {
   durability::WriteAheadLog* wal() const { return wal_; }
 
   /// Captures a checkpointable image: every live subscription (id + box),
-  /// the routing fences/version, the id allocator, and the WAL applied
-  /// low-water the image covers. Fuzzy with respect to concurrent
+  /// the routing fences/version (not the fence dimension: a recovered
+  /// engine starts routing on dimension 0), the id allocator, and the WAL
+  /// applied low-water the image covers. Fuzzy with respect to concurrent
   /// mutations — it runs under an epoch pin and per-shard locks, so
   /// MatchBatch never stalls; a mutation racing the capture may or may
   /// not be included, and replaying the WAL tail past image.lsn
@@ -550,18 +518,12 @@ class SubscriptionEngine {
     std::atomic<size_t> subs{0};
   };
 
-  /// The routing function's parameters: which dimension the fences cut,
-  /// where they sit, and (when active) the overflow split's dimension and
-  /// fences. Value-copied into plans by the publishers, embedded immutably
-  /// in the published snapshot.
+  /// The routing function's parameters: which dimension the fences cut
+  /// and where they sit. Value-copied into plans by the publishers,
+  /// embedded immutably in the published snapshot.
   struct RoutingPlan {
     uint32_t dim = 0;           ///< fence dimension (kRange)
     std::vector<float> bounds;  ///< sorted interior fences (kRange)
-    /// Overflow split: -1 = inactive (all straddlers in the catch-all
-    /// shard). When >= 0, a straddler whose split_dim interval fits one
-    /// split slice lives in sub-shard num_range_shards_ + slice.
-    int32_t split_dim = -1;
-    std::vector<float> split_bounds;  ///< sorted interior split fences
   };
 
   /// Immutable routing state, published whole behind `snapshot_`. Readers
@@ -578,15 +540,13 @@ class SubscriptionEngine {
   /// operation with).
   uint32_t ShardFor(SubscriptionId id, const Box& box,
                     const RoutingPlan& plan) const;
-  /// kRange home of a box under `plan`: its slice's shard; a straddler
-  /// goes to the sub-shard its split_dim interval fits (split active), or
-  /// the catch-all overflow shard. B is Box or BoxView (defined in the
-  /// .cc; every instantiation lives there).
+  /// kRange home of a box under `plan`: its slice's shard, or the overflow
+  /// shard for a fence straddler. B is Box or BoxView (defined in the .cc;
+  /// every instantiation lives there).
   template <typename B>
   uint32_t RangeShardFor(const RoutingPlan& plan, const B& box) const;
   /// Shards an event must visit under `plan`: the slice span of its
-  /// fence-dimension interval, the sub-shards its split_dim interval
-  /// overlaps (split active), and the catch-all shard — ascending.
+  /// fence-dimension interval, then the overflow shard — ascending.
   void RouteEvent(const RoutingPlan& plan, const Box& box,
                   std::vector<uint32_t>* out) const;
 
@@ -639,25 +599,20 @@ class SubscriptionEngine {
                             const float* coords);
   void NotifyCheckpointer(uint64_t mutations);
 
-  /// Double-residency migration: inserts re-routed subscriptions at their
-  /// destinations, publishes `plan`, waits out the grace period, and
-  /// erases the stale source copies. Caller holds rebalance_mu_. Returns
-  /// the number of subscriptions migrated.
-  size_t ApplyRoutingLocked(RoutingPlan plan,
-                            const std::vector<uint32_t>& scan_shards);
+  /// Double-residency migration: scans every shard for residents `plan`
+  /// routes elsewhere, inserts them at their destinations, publishes
+  /// `plan`, waits out the grace period, and erases the stale source
+  /// copies. Caller holds rebalance_mu_.
+  void ApplyRoutingLocked(RoutingPlan plan);
 
   /// Adaptive-evaluation hook, called after every match entry point (with
-  /// no epoch pinned — an applied decision's grace-period wait would
-  /// otherwise deadlock on the caller's own pin).
+  /// no epoch pinned — a switch's grace-period wait would otherwise
+  /// deadlock on the caller's own pin).
   void MaybeAutoAdapt(uint64_t events);
-  /// One advisor window: snapshot the tracker, evaluate, apply at most one
-  /// routing change. Caller holds rebalance_mu_. Returns true when a
-  /// change was applied.
-  bool EvaluateAdaptiveLocked();
-  /// All shard indices, and the overflow family (sub-shards + catch-all):
-  /// the migration scan sets the adaptive publishers use.
-  std::vector<uint32_t> AllShardIds() const;
-  std::vector<uint32_t> OverflowShardIds() const;
+  /// One observation window: snapshot the tracker, ask
+  /// adapt::ChooseFenceDimension, and apply its switch if it chose one.
+  /// Caller holds rebalance_mu_.
+  void EvaluateAdaptiveLocked();
 
   /// Registry-owned handles for the engine's own metrics (pipeline,
   /// rebalance, adaptive, gauges); defined in the .cc.
@@ -675,11 +630,9 @@ class SubscriptionEngine {
   std::unique_ptr<EngineObs> obs_;
   bool range_routed_ = false;
   /// kRange shard layout: shards 0..num_range_shards_-1 are the range
-  /// slices, the next num_split_shards_ are overflow sub-shards (idle
-  /// until a split activates), and the last shard is the catch-all
-  /// overflow. Both are 0 for non-range engines (every shard is plain).
+  /// slices and the last shard is the overflow. 0 for non-range engines
+  /// (every shard is plain).
   uint32_t num_range_shards_ = 0;
-  uint32_t num_split_shards_ = 0;
   /// Durability hooks; null = volatile engine (the default). Set by
   /// AttachDurability/SetCheckpointer, read by the mutation entry points.
   durability::WriteAheadLog* wal_ = nullptr;
@@ -705,17 +658,15 @@ class SubscriptionEngine {
   /// never be stranded in a shard the new table doesn't route to.
   mutable std::mutex rebalance_mu_;
 
-  /// Adaptive routing state. Tracker and advisor exist only when
-  /// options_.adaptive.enabled; the manual entry points
-  /// (SetRoutingDimension/SetOverflowSplit) work without them. The advisor
-  /// is only ever called under rebalance_mu_.
+  /// Adaptive routing state. The tracker exists only when
+  /// options_.adaptive.enabled; SetRoutingDimension works without it.
+  /// Windows are evaluated only under rebalance_mu_.
   std::unique_ptr<adapt::QueryPatternTracker> tracker_;
-  std::unique_ptr<adapt::RoutingAdvisor> advisor_;
   /// Adapt-window in-flight flag (mutex try_lock may fail spuriously,
   /// which would make deterministic replays skip windows at random).
   std::atomic<bool> adapt_inflight_{false};
   std::atomic<uint64_t> adapt_events_since_window_{0};
-  /// Most recent advisor window's per-dimension estimates; its own tiny
+  /// Most recent window's per-dimension estimates; its own tiny
   /// lock so adaptive_stats() never waits behind a migration.
   mutable std::mutex adapt_estimates_mu_;
   std::vector<DimensionEstimate> last_estimates_;

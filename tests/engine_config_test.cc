@@ -131,8 +131,7 @@ TEST(EngineConfig, ValidateOptionsIsSideEffectFree) {
 }
 
 TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
-  // Any adaptive knob — not just the master switch — implies a fence
-  // dimension to adapt, which only kRange has.
+  // Adaptive routing moves the fence dimension, which only kRange has.
   Status st;
   EngineOptions o;
   o.shards = 4;
@@ -141,37 +140,9 @@ TEST(EngineConfig, AdaptiveRoutingRequiresRangeSharding) {
   EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("kRange"), std::string::npos);
-
-  o = EngineOptions{};
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kHashId;
-  o.adaptive.overflow_split_shards = 2;  // split capacity alone also counts
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("overflow_split_shards"), std::string::npos);
 }
 
-TEST(EngineConfig, AdaptiveDimensionsMustNameSchemaDimensions) {
-  Status st;
-  EngineOptions o;
-  o.shards = 4;
-  o.sharding = ShardingPolicy::kRange;
-  o.adaptive.fence_dim = 3;  // schema has dims 0..2
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("fence_dim"), std::string::npos);
-
-  o.adaptive.fence_dim = 2;  // valid, even with the advisor off
-  EXPECT_NE(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_TRUE(st.ok());
-
-  o.adaptive.split_dim = 5;
-  EXPECT_EQ(SubscriptionEngine::Create(SchemaWithDims(3), o, &st), nullptr);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("split_dim"), std::string::npos);
-}
-
-TEST(EngineConfig, AdaptiveWindowAndThresholdKnobsValidated) {
+TEST(EngineConfig, AdaptiveSampleWindowValidated) {
   const AttributeSchema schema = SchemaWithDims(3);
   EngineOptions o;
   o.shards = 4;
@@ -183,41 +154,18 @@ TEST(EngineConfig, AdaptiveWindowAndThresholdKnobsValidated) {
   Status st = SubscriptionEngine::ValidateOptions(schema, o);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("sample_window"), std::string::npos);
-  o.adaptive.sample_window = 4096;
-
-  // A switch threshold <= 1 lets estimation noise flip the fence
-  // dimension every window; NaN must not sneak through a < comparison.
-  for (const double bad : {1.0, 0.5, std::nan("")}) {
-    o.adaptive.switch_threshold = bad;
-    st = SubscriptionEngine::ValidateOptions(schema, o);
-    EXPECT_FALSE(st.ok()) << bad;
-    EXPECT_NE(st.message().find("switch_threshold"), std::string::npos);
-  }
-  o.adaptive.switch_threshold = 1.5;
-
-  for (const double bad : {0.0, -0.25, 1.5, std::nan("")}) {
-    o.adaptive.split_straddler_threshold = bad;
-    EXPECT_FALSE(SubscriptionEngine::ValidateOptions(schema, o).ok()) << bad;
-  }
-  o.adaptive.split_straddler_threshold = 0.25;
-
-  o.adaptive.split_patience = 0;
-  st = SubscriptionEngine::ValidateOptions(schema, o);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("split_patience"), std::string::npos);
-  o.adaptive.split_patience = 2;
+  o.adaptive.sample_window = 1;
   EXPECT_TRUE(SubscriptionEngine::ValidateOptions(schema, o).ok());
 }
 
-TEST(EngineConfig, DisabledAdaptiveIgnoresWindowKnobs) {
-  // The window/threshold knobs only matter when the advisor runs; bogus
-  // values with enabled=false must not block engine creation.
+TEST(EngineConfig, DisabledAdaptiveIgnoresWindowKnob) {
+  // The window only matters when adaptive routing runs; a bogus value
+  // with enabled=false must not block engine creation.
   EngineOptions o;
   o.shards = 4;
   o.sharding = ShardingPolicy::kRange;
   o.adaptive.enabled = false;
   o.adaptive.sample_window = 0;
-  o.adaptive.switch_threshold = 0.0;
   EXPECT_TRUE(
       SubscriptionEngine::ValidateOptions(SchemaWithDims(3), o).ok());
 }

@@ -2,24 +2,21 @@
 //
 // A seeded operation log interleaving Subscribe / SubscribeBatch /
 // Unsubscribe / MatchBatch / forced RebalanceOnce / SetRangeBoundaries /
-// fence-dimension switches (SetRoutingDimension) / overflow-split toggles
-// (SetOverflowSplit, ClearOverflowSplit) / epoch-drain points
+// fence-dimension switches (SetRoutingDimension) / epoch-drain points
 // (SynchronizeEpochs — forcing retired routing snapshots through the
 // grace period at arbitrary log positions) is replayed through sharded
-// kRange engines (several shard counts, thread counts, periodic
-// RebalanceOnce cadences and split-capacity settings, one with the
-// adaptive advisor live) and through
+// kRange engines (several shard counts, thread counts and periodic
+// RebalanceOnce cadences, one with adaptive routing live) and through
 // the serial single-index engine; every batch's match sets — and an FNV
 // digest over the exact (event, id) assignment, the same oracle
-// bench_parallel_sdi gates on — must be identical. Boundary moves,
-// dimension switches, split migrations, and advisor-driven adaptations
-// interleave with the match stream mid-log, so any routing table /
-// residency disagreement shows up as a digest divergence. Failures print
-// the reproducing seed.
+// bench_parallel_sdi gates on — must be identical. Boundary moves, manual
+// dimension switches and adaptive switches interleave with the match
+// stream mid-log, so any routing table / residency disagreement shows up
+// as a digest divergence. Failures print the reproducing seed.
 //
 // Scheduler-adversarial companions hammer RebalanceOnce +
 // SetRangeBoundaries (and, in the dimension-flip variant, continuous
-// SetRoutingDimension / SetOverflowSplit over a STATIC subscription
+// SetRoutingDimension / SetRangeBoundaries over a STATIC subscription
 // population, where every mid-migration batch must already be
 // oracle-exact) from dedicated threads while matchers run. Primary TSan
 // targets for the migration locking.
@@ -55,8 +52,7 @@ struct EngineConfig {
   /// Replay calls RebalanceOnce after every this many match batches, on
   /// top of the log's own forced rebalances (0 = the log's only).
   uint32_t rebalance_every;
-  uint32_t split_capacity = 0;  // adaptive.overflow_split_shards
-  bool adaptive = false;        // advisor live mid-log
+  bool adaptive = false;  // adaptive routing live mid-log
 };
 
 SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
@@ -67,14 +63,11 @@ SubscriptionEngine MakeEngine(const EngineConfig& cfg) {
   o.shards = cfg.shards;
   o.match_threads = cfg.threads;
   o.sharding = cfg.policy;
-  o.adaptive.overflow_split_shards = cfg.split_capacity;
   if (cfg.adaptive) {
-    // Advisor decisions only have to be deterministic per engine config;
-    // parity with the serial oracle must hold whatever it decides.
+    // Switch decisions only have to be deterministic per engine config;
+    // parity with the serial oracle must hold whatever they are.
     o.adaptive.enabled = true;
     o.adaptive.sample_window = 96;
-    o.adaptive.split_straddler_threshold = 0.25;
-    o.adaptive.split_patience = 2;
   }
   return SubscriptionEngine(UnitSchema(), o);
 }
@@ -90,15 +83,14 @@ struct Op {
     kForceRebalance,
     kSetBoundaries,
     kEpochDrain,
-    kSwitchDim,     // SetRoutingDimension mid-log
-    kSplitToggle,   // SetOverflowSplit / ClearOverflowSplit mid-log
+    kSwitchDim,  // SetRoutingDimension mid-log
   } kind;
   Box box;                    // kSubscribe
   std::vector<Box> boxes;     // kSubscribeBatch
   size_t victim_index;        // kUnsubscribe: index into the live list
   std::vector<Event> events;  // kMatchBatch
-  uint64_t bounds_seed;       // kSetBoundaries / kSplitToggle fence seed
-  uint32_t dim;               // kSwitchDim / kSplitToggle target dimension
+  uint64_t bounds_seed;       // kSetBoundaries fence seed
+  uint32_t dim;               // kSwitchDim target dimension
 };
 
 /// Fence values every engine config under test can start with — boxes are
@@ -175,12 +167,8 @@ std::vector<Op> MakeOpLog(uint64_t seed, size_t n_ops) {
     } else if (roll < 0.98) {
       op.kind = Op::kSetBoundaries;
       op.bounds_seed = rng.NextU64();
-    } else if (roll < 0.99) {
-      op.kind = Op::kSwitchDim;
-      op.dim = static_cast<uint32_t>(rng.NextBelow(kNd));
     } else {
-      op.kind = Op::kSplitToggle;
-      op.bounds_seed = rng.NextU64();
+      op.kind = Op::kSwitchDim;
       op.dim = static_cast<uint32_t>(rng.NextBelow(kNd));
     }
     log.push_back(std::move(op));
@@ -255,9 +243,6 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log,
         engine.SynchronizeEpochs();
         break;
       case Op::kSetBoundaries:
-        // Size the array from the live boundary count, not shard_count():
-        // engines with overflow-split capacity have more physical shards
-        // than range slices.
         if (engine.range_routed() &&
             !engine.GetRangeBoundaries().empty()) {
           EXPECT_TRUE(engine.SetRangeBoundaries(BoundsFromSeed(
@@ -267,18 +252,6 @@ ReplayResult Replay(SubscriptionEngine& engine, const std::vector<Op>& log,
       case Op::kSwitchDim:
         if (engine.range_routed()) {
           EXPECT_TRUE(engine.SetRoutingDimension(op.dim));
-        }
-        break;
-      case Op::kSplitToggle:
-        if (engine.range_routed() && engine.overflow_split_capacity() > 0) {
-          if (op.bounds_seed % 3 == 0) {
-            EXPECT_TRUE(engine.ClearOverflowSplit());
-          } else {
-            EXPECT_TRUE(engine.SetOverflowSplit(
-                op.dim,
-                BoundsFromSeed(op.bounds_seed,
-                               engine.overflow_split_capacity() - 1)));
-          }
         }
         break;
     }
@@ -294,9 +267,7 @@ TEST(RebalanceFuzz, ShardedReplayMatchesSerialReplayAcrossSeeds) {
       {4, 0, ShardingPolicy::kRange, 5},  // periodic rebalance mid-log
       {6, 3, ShardingPolicy::kRange, 7},
       {4, 2, ShardingPolicy::kHashId, 0},  // broadcast cross-check
-      {4, 0, ShardingPolicy::kRange, 0, 2},  // split toggles live
-      {5, 3, ShardingPolicy::kRange, 6, 3},  // splits + periodic rebalance
-      {5, 2, ShardingPolicy::kRange, 0, 2, true},  // advisor adapts mid-log
+      {5, 2, ShardingPolicy::kRange, 0, true},  // adaptive switches mid-log
   };
   for (const uint64_t seed : {11ull, 2026ull, 777ull, 31415ull}) {
     const std::vector<Op> log = MakeOpLog(seed, 600);
@@ -464,12 +435,12 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   // The strongest mid-migration guarantee the adaptive subsystem makes:
   // with a STATIC subscription population, every MatchBatch result must be
   // brute-force exact even while a dedicated thread continuously flips the
-  // fence dimension and toggles the overflow split underneath the
-  // matchers. A reader on the old snapshot finds migrating subscriptions
-  // at their source, one on the new snapshot at their destination, and the
-  // ObjectId dedup pass removes double-resident duplicates — so there is
-  // no instant at which a result may differ from the oracle. Primary TSan
-  // target for the dimension-switch locking.
+  // fence dimension and moves the fences underneath the matchers. A reader
+  // on the old snapshot finds migrating subscriptions at their source, one
+  // on the new snapshot at their destination, and the ObjectId dedup pass
+  // removes double-resident duplicates — so there is no instant at which a
+  // result may differ from the oracle. Primary TSan target for the
+  // dimension-switch locking.
   EngineOptions o;
   o.index.reorg_period = 25;
   o.index.min_observation = 8;
@@ -477,7 +448,6 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   o.shards = 5;
   o.match_threads = 3;
   o.sharding = ShardingPolicy::kRange;
-  o.adaptive.overflow_split_shards = 2;
   SubscriptionEngine engine(UnitSchema(), o);
 
   Rng rng(4242);
@@ -502,20 +472,13 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   std::thread flipper([&] {
     Rng frng(rng.NextU64());
     for (int i = 0; i < 48; ++i) {
-      switch (i % 4) {
-        case 0:
-        case 1:
-          EXPECT_TRUE(engine.SetRoutingDimension(
-              static_cast<uint32_t>(frng.NextBelow(kNd))));
-          break;
-        case 2:
-          EXPECT_TRUE(engine.SetOverflowSplit(
-              static_cast<uint32_t>(frng.NextBelow(kNd)),
-              BoundsFromSeed(frng.NextU64(), 1)));
-          break;
-        default:
-          EXPECT_TRUE(engine.ClearOverflowSplit());
-          break;
+      if (i % 3 == 2) {
+        // 5 shards: 4 range slices, 3 interior fences.
+        EXPECT_TRUE(
+            engine.SetRangeBoundaries(BoundsFromSeed(frng.NextU64(), 3)));
+      } else {
+        EXPECT_TRUE(engine.SetRoutingDimension(
+            static_cast<uint32_t>(frng.NextBelow(kNd))));
       }
     }
     stop.store(true, std::memory_order_release);

@@ -384,13 +384,12 @@ TEST(RoutedEngine, RebalanceOnceShedsTheHotShard) {
 }
 
 TEST(RoutedEngine, RebalanceOnceInstallsPlanFencesOverTheResidents) {
-  // RebalanceOnce is a thin call into the advisor's planner: its fences
-  // must equal PlanFences over a snapshot of the live subscriptions on the
+  // RebalanceOnce is a thin call into the switch planner: its fences must
+  // equal PlanFences over a snapshot of the live subscriptions on the
   // current fence dimension — here dimension 2, to prove it follows the
   // routing dimension rather than assuming dimension 0.
-  EngineOptions o = Opts(5, 0, ShardingPolicy::kRange);
-  o.adaptive.fence_dim = 2;
-  SubscriptionEngine engine(UnitSchema(), o);
+  SubscriptionEngine engine(UnitSchema(), Opts(5, 0, ShardingPolicy::kRange));
+  ASSERT_TRUE(engine.SetRoutingDimension(2));
   Rng rng(73);
   std::vector<SubscriptionId> ids;
   std::vector<Box> boxes;
@@ -420,12 +419,10 @@ TEST(RoutedEngine, RebalanceOnceInstallsPlanFencesOverTheResidents) {
 }
 
 TEST(RoutedEngine, NonFiniteFencesAreRejectedBySetters) {
-  // One fence (K = 3) or one split fence has no adjacent pair for an
-  // ascent check, so finiteness must be checked per element. A rejected
-  // table changes nothing: no migration, no new snapshot.
-  EngineOptions o = Opts(3, 0, ShardingPolicy::kRange);
-  o.adaptive.overflow_split_shards = 2;
-  SubscriptionEngine engine(UnitSchema(), o);
+  // One fence (K = 3) has no adjacent pair for an ascent check, so
+  // finiteness must be checked per element. A rejected table changes
+  // nothing: no migration, no new snapshot.
+  SubscriptionEngine engine(UnitSchema(), Opts(3, 0, ShardingPolicy::kRange));
   Rng rng(74);
   for (int i = 0; i < 100; ++i) {
     engine.SubscribeBox(AdversarialBox(rng, {0.5f}));
@@ -435,11 +432,9 @@ TEST(RoutedEngine, NonFiniteFencesAreRejectedBySetters) {
   const float inf = std::numeric_limits<float>::infinity();
   for (const float bad : {nan, inf, -inf}) {
     EXPECT_FALSE(engine.SetRangeBoundaries({bad})) << bad;
-    EXPECT_FALSE(engine.SetOverflowSplit(1, {bad})) << bad;
   }
   EXPECT_EQ(engine.routing_version(), version);
   EXPECT_EQ(engine.GetRangeBoundaries(), std::vector<float>{0.5f});
-  EXPECT_EQ(engine.overflow_split_dimension(), -1);
   EXPECT_EQ(engine.rebalance_stats().subscriptions_migrated, 0u);
 }
 

@@ -15,20 +15,6 @@ void QueryPatternTracker::Record(const PatternAccumulator& acc) {
   ring_[current_].Merge(acc.data());
 }
 
-void QueryPatternTracker::RecordEvent(const Box& b) {
-  events_observed_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(mu_);
-  ++ring_[current_].events;
-  BinBox(b, &ring_[current_].event_dims);
-}
-
-void QueryPatternTracker::RecordSubscription(const Box& b) {
-  subscriptions_observed_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(mu_);
-  ++ring_[current_].subscriptions;
-  BinBox(b, &ring_[current_].sub_dims);
-}
-
 PatternSnapshot QueryPatternTracker::Snapshot() const {
   PatternSnapshot out;
   out.Reset(nd_);

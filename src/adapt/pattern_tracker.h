@@ -144,12 +144,6 @@ class QueryPatternTracker {
   /// Merges a folded accumulator into the current generation (one lock).
   void Record(const PatternAccumulator& acc);
 
-  /// Single-sample conveniences for unbatched paths (one lock each; the
-  /// single-event Match path and single Subscribe pay one uncontended
-  /// mutex acquisition per call when tracking is enabled).
-  void RecordEvent(const Box& b);
-  void RecordSubscription(const Box& b);
-
   /// Sum of all live generations.
   PatternSnapshot Snapshot() const;
 

@@ -35,20 +35,14 @@ struct ShardMetrics {
   uint64_t events_routed = 0;
   /// Point-in-time gauge: subscriptions resident in this shard when the
   /// batch was dispatched. Populated for every shard under every sharding
-  /// policy. Merge keeps the max (it is a gauge, not a counter).
+  /// policy. Under range routing the last shard is the overflow shard, so
+  /// its entry is the straddler pressure — fences repeatedly cutting dense
+  /// regions push subscriptions there, and every routed event pays an
+  /// overflow visit. Merge keeps the max (it is a gauge, not a counter).
   uint64_t resident_subscriptions = 0;
-  /// Point-in-time gauge: subscriptions resident in the engine's overflow
-  /// shard when this batch was dispatched. Only the overflow shard's entry
-  /// carries it, and only range-routed engines have an overflow shard —
-  /// consult MatchBatchResult::overflow_shard to tell "this entry is the
-  /// overflow shard with 0 residents" apart from "this policy has no
-  /// overflow shard at all". It tracks straddler pressure — fences
-  /// repeatedly cutting dense regions push subscriptions here, and every
-  /// routed event pays an overflow visit. Merge keeps the max (a gauge).
-  uint64_t overflow_subscriptions = 0;
   /// Residual-serialization counter: pipeline workers that tried to claim
   /// a chunk of this shard's queue but found the shard mutex held (by
-  /// another worker's chunk or a concurrent single-event Match) and moved
+  /// another worker's chunk or a concurrent caller's run) and moved
   /// on to steal elsewhere. High values on one shard mean its queue is
   /// the batch's serialization residue — the signal behind the wall-
   /// scaling gap the parallel benchmark tracks.
@@ -64,9 +58,6 @@ struct ShardMetrics {
     events_routed += o.events_routed;
     if (o.resident_subscriptions > resident_subscriptions) {
       resident_subscriptions = o.resident_subscriptions;
-    }
-    if (o.overflow_subscriptions > overflow_subscriptions) {
-      overflow_subscriptions = o.overflow_subscriptions;
     }
     try_lock_failures += o.try_lock_failures;
   }
@@ -128,19 +119,9 @@ class VectorMatchSink final : public MatchSink {
 /// ObjectId — the deterministic merge order, byte-identical regardless of
 /// shard count or thread count.
 struct MatchBatchResult {
-  /// Sentinel for `overflow_shard`: the dispatching policy has no overflow
-  /// shard (broadcast policies), so no per_shard entry carries the
-  /// overflow gauge.
-  static constexpr size_t kNoOverflowShard = static_cast<size_t>(-1);
-
   std::vector<std::vector<ObjectId>> matches;  ///< per event, id-sorted
   std::vector<ShardMetrics> per_shard;         ///< indexed by shard
   QueryMetrics total;                          ///< sum over shards & events
-  /// Index into `per_shard` of the overflow shard the batch was routed
-  /// with, or kNoOverflowShard when the policy has none (broadcast). This
-  /// is what makes the overflow_subscriptions gauge *explicitly absent*
-  /// rather than silently zero for non-range policies.
-  size_t overflow_shard = kNoOverflowShard;
   /// Version of the routing snapshot the whole batch was dispatched with
   /// (one consistent snapshot per batch; 0 for an empty batch).
   /// Non-decreasing across a single caller's batches — a later batch can
@@ -168,7 +149,6 @@ struct MatchBatchResult {
     for (auto& m : matches) m.clear();
     for (auto& s : per_shard) s.Clear();
     total.Clear();
-    overflow_shard = kNoOverflowShard;
     routing_version = 0;
     epoch = 0;
     ready_pop_retries = 0;

@@ -18,6 +18,9 @@ namespace accl {
 using Lsn = uint64_t;
 inline constexpr Lsn kNoLsn = 0;
 
+/// Page size of the WAL segment files and of the checkpoint files.
+inline constexpr uint32_t kDurablePageBytes = 4096;
+
 /// Configuration for a durable engine (durability::OpenDurable).
 struct DurabilityOptions {
   /// Group commit: mutators enqueue records and one flusher thread batches
@@ -26,10 +29,6 @@ struct DurabilityOptions {
   /// durable engine; exists for the bench comparison and for tests that
   /// need one I/O op per record).
   bool group_commit = true;
-
-  /// Page size of the WAL segment files and of the checkpoint file.
-  uint32_t wal_page_bytes = 4096;
-  uint32_t checkpoint_page_bytes = 4096;
 
   /// The WAL rotates to a fresh segment file once the tail segment's frame
   /// bytes exceed this (soft limit: a batch is never split across

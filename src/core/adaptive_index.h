@@ -79,7 +79,7 @@ struct ReorgStats {
   uint64_t last_pass_merges = 0;
 };
 
-/// Serializable image of one cluster (used by storage/persist).
+/// Serializable image of one cluster (ClusterFileStore's unit of storage).
 struct ClusterImage {
   ClusterId id = 0;
   ClusterId parent = kNoCluster;

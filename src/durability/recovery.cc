@@ -34,8 +34,7 @@ void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
                                          RecoveryStats* rs) {
   ++rs->wal_records_scanned;
   switch (rec.type) {
-    case durability::WalRecordType::kSubscribe:
-    case durability::WalRecordType::kSubscribeBatch: {
+    case durability::WalRecordType::kSubscribe: {
       if (rec.nd != schema_.dims()) {
         ++rs->wal_records_skipped;  // foreign record; never ours
         return;
@@ -55,7 +54,7 @@ void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
                       rec.coords.data() + (i + 1) * stride);
       }
       if (!ids.empty()) {
-        RestoreSubscriptions(
+        InsertSubscriptions(
             Span<const SubscriptionId>(ids.data(), ids.size()),
             coords.data());
         ++rs->wal_records_applied;
@@ -117,7 +116,7 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
 
   WallTimer timer;
   if (have_image) {
-    engine->RestoreSubscriptions(
+    engine->InsertSubscriptions(
         Span<const SubscriptionId>(image.ids.data(), image.ids.size()),
         image.coords.data());
     std::lock_guard<std::mutex> lk(engine->meta_mu_);
@@ -151,11 +150,10 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
 
 namespace durability {
 
-std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path,
-                                                 uint32_t page_bytes) {
+std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {
-    return PagedFile::Create(path, page_bytes);
+    return PagedFile::Create(path, kDurablePageBytes);
   }
   return PagedFile::Open(path);
 }
@@ -169,7 +167,6 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
   WriteAheadLog::Options wal_opts;
   wal_opts.group_commit = durability_options.group_commit;
   wal_opts.disk = disk;
-  wal_opts.page_bytes = durability_options.wal_page_bytes;
   wal_opts.segment_bytes = durability_options.wal_segment_bytes;
   wal_opts.spare_segments = durability_options.wal_spare_segments;
   out->wal = WriteAheadLog::Open(wal_path, wal_opts);
@@ -182,8 +179,8 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
     return false;
   }
 
-  std::unique_ptr<PagedFile> ckpt_file = OpenOrCreatePagedFile(
-      checkpoint_path, durability_options.checkpoint_page_bytes);
+  std::unique_ptr<PagedFile> ckpt_file =
+      OpenOrCreatePagedFile(checkpoint_path);
   if (ckpt_file == nullptr) {
     if (status != nullptr) {
       *status = Status::InvalidArgument(

@@ -137,11 +137,10 @@ bool WritePreamble(PagedFile* file, uint64_t seq, Lsn base_lsn,
 }  // namespace
 
 std::unique_ptr<WalSegment> WalSegment::Create(const std::string& path,
-                                               uint32_t page_bytes,
                                                uint64_t seq, Lsn base_lsn,
                                                SimDisk* disk) {
   if (disk != nullptr && disk->NextOpFails()) return nullptr;
-  std::unique_ptr<PagedFile> file = PagedFile::Create(path, page_bytes);
+  std::unique_ptr<PagedFile> file = PagedFile::Create(path, kDurablePageBytes);
   if (file == nullptr) return nullptr;
   if (disk != nullptr) disk->NoteCreate();
   if (!WritePreamble(file.get(), seq, base_lsn, disk)) {
@@ -218,8 +217,11 @@ bool WalSegment::DecodeFrameAt(uint64_t off, WalRecord* out, uint64_t* next,
   ByteReader r(payload);
   uint8_t type = 0;
   if (!r.GetU8(&type)) return false;
-  if (type < static_cast<uint8_t>(WalRecordType::kSubscribe) ||
-      type > static_cast<uint8_t>(WalRecordType::kUnsubscribe)) {
+  // 2 is the retired batch-subscribe kind, encoded exactly like
+  // kSubscribe: a log written before the kinds were folded still replays.
+  if (type == 2) type = static_cast<uint8_t>(WalRecordType::kSubscribe);
+  if (type != static_cast<uint8_t>(WalRecordType::kSubscribe) &&
+      type != static_cast<uint8_t>(WalRecordType::kUnsubscribe)) {
     return false;
   }
   out->type = static_cast<WalRecordType>(type);

@@ -39,10 +39,11 @@
 
 namespace accl::durability {
 
-/// Record kinds, one per engine mutation.
+/// Record kinds: a subscribe record carries one or more subscriptions
+/// with contiguous ids; an unsubscribe record carries one id. (Value 2
+/// belonged to a retired batch-subscribe kind with the subscribe encoding.)
 enum class WalRecordType : uint8_t {
   kSubscribe = 1,
-  kSubscribeBatch = 2,
   kUnsubscribe = 3,
 };
 
@@ -50,7 +51,7 @@ enum class WalRecordType : uint8_t {
 struct WalRecord {
   WalRecordType type = WalRecordType::kSubscribe;
   Lsn lsn = kNoLsn;
-  ObjectId first_id = kInvalidObject;  ///< id, or first id of a batch
+  ObjectId first_id = kInvalidObject;  ///< id, or the first of `count`
   uint32_t count = 0;                  ///< subscriptions in the record
   Dim nd = 0;                          ///< 0 for kUnsubscribe
   std::vector<float> coords;           ///< count * 2 * nd floats
@@ -102,13 +103,14 @@ void RemoveWalFiles(const std::string& base);
 /// are absolute stream offsets; frames start at kSegmentPreambleBytes.
 class WalSegment {
  public:
-  /// Creates a fresh segment (truncating any existing file) and durably
-  /// writes its preamble. Consults `disk` once for the file creation and
-  /// once for the preamble write+sync; nullptr on failure (injected or
-  /// real) — a torn creation leaves a file reopen garbage-collects.
+  /// Creates a fresh segment (truncating any existing file) with
+  /// kDurablePageBytes pages and durably writes its preamble. Consults
+  /// `disk` once for the file creation and once for the preamble
+  /// write+sync; nullptr on failure (injected or real) — a torn creation
+  /// leaves a file reopen garbage-collects.
   static std::unique_ptr<WalSegment> Create(const std::string& path,
-                                            uint32_t page_bytes, uint64_t seq,
-                                            Lsn base_lsn, SimDisk* disk);
+                                            uint64_t seq, Lsn base_lsn,
+                                            SimDisk* disk);
 
   /// Reuses an existing file (a renamed spare) as a fresh segment: rewrites
   /// and syncs the preamble under the new seq WITHOUT truncating the

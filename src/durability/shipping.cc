@@ -48,9 +48,8 @@ std::unique_ptr<LogShipper> LogShipper::Create(AttributeSchema schema,
   auto shipper = std::unique_ptr<LogShipper>(new LogShipper(
       std::move(schema), std::move(engine_options), std::move(options)));
 
-  std::unique_ptr<PagedFile> ckpt_file = OpenOrCreatePagedFile(
-      shipper->options_.replica_checkpoint_path,
-      shipper->options_.checkpoint_page_bytes);
+  std::unique_ptr<PagedFile> ckpt_file =
+      OpenOrCreatePagedFile(shipper->options_.replica_checkpoint_path);
   if (ckpt_file == nullptr) {
     if (status != nullptr) {
       *status = Status::IOError("cannot create the replica checkpoint file: " +
@@ -187,8 +186,8 @@ Status LogShipper::ShipSegment(const SegmentFileInfo& info, bool* stop) {
 
   if (it == mirror_.end()) {
     std::unique_ptr<WalSegment> seg = WalSegment::Create(
-        SegmentPath(options_.replica_wal_base, info.seq),
-        options_.wal_page_bytes, info.seq, src->base_lsn(), options_.disk);
+        SegmentPath(options_.replica_wal_base, info.seq), info.seq,
+        src->base_lsn(), options_.disk);
     if (seg == nullptr) {
       return Status::IOError("cannot create mirror segment for " + info.path);
     }
@@ -315,7 +314,6 @@ Status LogShipper::Promote(const DurabilityOptions& durability_options,
   WriteAheadLog::Options wal_opts;
   wal_opts.group_commit = durability_options.group_commit;
   wal_opts.disk = options_.disk;
-  wal_opts.page_bytes = durability_options.wal_page_bytes;
   wal_opts.segment_bytes = durability_options.wal_segment_bytes;
   wal_opts.spare_segments = durability_options.wal_spare_segments;
   std::unique_ptr<WriteAheadLog> wal =

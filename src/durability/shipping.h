@@ -66,8 +66,6 @@ class LogShipper {
     /// Replica artifacts the shipper owns: mirror chain base + checkpoint.
     std::string replica_wal_base;
     std::string replica_checkpoint_path;
-    uint32_t wal_page_bytes = 4096;
-    uint32_t checkpoint_page_bytes = 4096;
     /// Optional, not owned: consulted/charged for every mirror-side file
     /// operation. Sharing the primary's disk puts shipping inside the same
     /// crash-point op space.

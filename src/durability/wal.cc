@@ -80,8 +80,8 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::Open(
     // Fresh log. Open-time I/O is recovery I/O: no fault consult, no
     // simulated charge (matching the checkpoint store's open behavior).
     std::unique_ptr<WalSegment> seg =
-        WalSegment::Create(SegmentPath(base_path, 1), options.page_bytes,
-                           /*seq=*/1, /*base_lsn=*/1, /*disk=*/nullptr);
+        WalSegment::Create(SegmentPath(base_path, 1), /*seq=*/1,
+                           /*base_lsn=*/1, /*disk=*/nullptr);
     if (seg == nullptr) return nullptr;
     LiveSeg ls;
     ls.seg = std::move(seg);
@@ -167,14 +167,10 @@ Lsn WriteAheadLog::Append(WalRecordType type, ObjectId first_id,
   return lsn;
 }
 
-Lsn WriteAheadLog::AppendSubscribe(ObjectId id, Dim nd, const float* coords) {
-  return Append(WalRecordType::kSubscribe, id, 1, nd, coords);
-}
-
-Lsn WriteAheadLog::AppendSubscribeBatch(ObjectId first_id, uint32_t count,
-                                        Dim nd, const float* coords) {
+Lsn WriteAheadLog::AppendSubscribe(ObjectId first_id, uint32_t count, Dim nd,
+                                   const float* coords) {
   ACCL_CHECK(count > 0);
-  return Append(WalRecordType::kSubscribeBatch, first_id, count, nd, coords);
+  return Append(WalRecordType::kSubscribe, first_id, count, nd, coords);
 }
 
 Lsn WriteAheadLog::AppendUnsubscribe(ObjectId id) {
@@ -299,8 +295,7 @@ bool WriteAheadLog::RotateLocked(Lsn base_lsn) {
     if (seg == nullptr) return false;
     segments_recycled_.Add();
   } else {
-    seg = WalSegment::Create(live, options_.page_bytes, seq, base_lsn,
-                             options_.disk);
+    seg = WalSegment::Create(live, seq, base_lsn, options_.disk);
     if (seg == nullptr) return false;
   }
   LiveSeg ls;

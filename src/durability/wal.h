@@ -77,8 +77,6 @@ class WriteAheadLog {
   struct Options {
     bool group_commit = true;
     SimDisk* disk = nullptr;  ///< optional; not owned, not thread-safe
-    /// Page size of each segment's PagedFile.
-    uint32_t page_bytes = 4096;
     /// Rotate once the tail segment's frame bytes exceed this (soft: a
     /// flush batch is never split across segments).
     uint64_t segment_bytes = 1 << 20;
@@ -109,12 +107,11 @@ class WriteAheadLog {
   // ---- Appending (any thread) ----
 
   /// Enqueue one mutation record; returns its LSN (kNoLsn when the log is
-  /// broken). `coords` is the subscription's 2*nd normalized limits.
-  Lsn AppendSubscribe(ObjectId id, Dim nd, const float* coords);
-  /// One record covering `count` subscriptions with contiguous ids
-  /// starting at `first_id`; `coords` holds count*2*nd floats.
-  Lsn AppendSubscribeBatch(ObjectId first_id, uint32_t count, Dim nd,
-                           const float* coords);
+  /// broken). A subscribe record covers `count` >= 1 subscriptions with
+  /// contiguous ids starting at `first_id`; `coords` holds count*2*nd
+  /// normalized limits.
+  Lsn AppendSubscribe(ObjectId first_id, uint32_t count, Dim nd,
+                      const float* coords);
   Lsn AppendUnsubscribe(ObjectId id);
 
   /// Blocks until every record up to `lsn` is on disk. False when the log

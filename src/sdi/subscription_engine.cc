@@ -57,8 +57,8 @@ const char* FenceArrayProblem(const std::vector<float>& fences, size_t size) {
 /// Chunk boundaries are fixed multiples (position p lives in chunk
 /// p / kMatchChunkSize), so a finalizer can locate any position's output
 /// without knowing the claim history. Small enough that one hot shard's
-/// queue is split across many mutex acquisitions (other workers interleave
-/// and a concurrent single-event Match is never starved), large enough
+/// queue is split across many mutex acquisitions (other workers and
+/// concurrent callers' runs interleave, so none is starved), large enough
 /// that the per-chunk lock/unlock and countdown overhead stays amortized.
 constexpr size_t kMatchChunkSize = 16;
 
@@ -140,7 +140,7 @@ struct SubscriptionEngine::PipelineScratch {
 struct SubscriptionEngine::EngineObs {
   explicit EngineObs(obs::MetricsRegistry* r)
       : batches(r->GetCounter("accl_pipeline_batches_total",
-                              "MatchBatch pipeline runs")),
+                              "pipeline runs (one per Match or MatchBatch)")),
         events(r->GetCounter("accl_pipeline_events_total",
                              "events matched (Match and MatchBatch)")),
         events_routed(r->GetCounter(
@@ -162,8 +162,9 @@ struct SubscriptionEngine::EngineObs {
         objects_verified(r->GetCounter(
             "accl_pipeline_objects_verified_total",
             "subscriptions verified against events, summed over shards")),
-        batch_us(r->GetHistogram("accl_pipeline_batch_us",
-                                 "MatchBatch end-to-end duration (us)")),
+        batch_us(r->GetHistogram(
+            "accl_pipeline_batch_us",
+            "Match/MatchBatch end-to-end duration (us)")),
         boundary_moves(r->GetCounter("accl_rebalance_boundary_moves_total",
                                      "fence moves applied")),
         subs_migrated(r->GetCounter(
@@ -324,11 +325,6 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   // workers; 0 or 1 requested threads means no pool at all.
   if (options_.match_threads > 1) {
     pool_ = std::make_unique<exec::ThreadPool>(options_.match_threads - 1);
-    // Epoch-retire amortization: superseded routing snapshots are freed by
-    // idle pool workers (TryReclaim is non-blocking and safe concurrently),
-    // not inline by the publisher — see ApplyRoutingLocked's WaitGrace.
-    // Safe lifetime: ~SubscriptionEngine joins the pool before epoch_ dies.
-    pool_->SetIdleHook([this] { epoch_.TryReclaim(); });
   }
   auto* snap = new RoutingSnapshot();
   snap->plan = std::move(plan);
@@ -357,9 +353,8 @@ void SubscriptionEngine::PublishSnapshot(RoutingPlan plan) {
   epoch_.Retire([old] { delete old; });
 }
 
-template <typename B>
 uint32_t SubscriptionEngine::RangeShardFor(const RoutingPlan& plan,
-                                           const B& box) const {
+                                           BoxView box) const {
   const Dim fd = static_cast<Dim>(plan.dim);
   const uint32_t a = SliceOf(plan.bounds, box.lo(fd));
   const uint32_t b = SliceOf(plan.bounds, box.hi(fd));
@@ -378,7 +373,7 @@ void SubscriptionEngine::RouteEvent(const RoutingPlan& plan, const Box& box,
   out->push_back(static_cast<uint32_t>(shards_.size() - 1));
 }
 
-uint32_t SubscriptionEngine::ShardFor(SubscriptionId id, const Box& box,
+uint32_t SubscriptionEngine::ShardFor(SubscriptionId id, BoxView box,
                                       const RoutingPlan& plan) const {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   if (k == 1) return 0;
@@ -395,61 +390,9 @@ SubscriptionId SubscriptionEngine::Subscribe(
 }
 
 SubscriptionId SubscriptionEngine::SubscribeBox(const Box& box) {
-  ACCL_CHECK(box.dims() == schema_.dims());
-  // A follower's ids come only from the replicated log; refusing before
-  // the allocation keeps the local allocator exactly at the log's heels.
-  if (role() == EngineRole::kFollower) return kInvalidObject;
-  SubscriptionId id;
-  {
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    id = next_id_++;
-  }
-  if (wal_ != nullptr) {
-    // Durable path: the record must be on disk before the subscription is
-    // applied or acknowledged. A broken log refuses the mutation (the
-    // allocated id is simply never used — ids are not reused anyway).
-    const Lsn lsn = wal_->AppendSubscribe(id, schema_.dims(), box.data());
-    if (!wal_->WaitDurable(lsn)) return kInvalidObject;
-    ApplySubscribe(id, box);
-    wal_->MarkApplied(lsn);
-  } else {
-    ApplySubscribe(id, box);
-  }
-  NotifyCheckpointer(1);
-  return id;
-}
-
-void SubscriptionEngine::ApplySubscribe(SubscriptionId id, const Box& box) {
-  // kRange holds the rebalance lock from target choice through owner-map
-  // publish: a boundary change (the whole double-residency protocol runs
-  // under rebalance_mu_) is then serialized either before this
-  // subscription (so we route with the new table) or after it (so its
-  // migration scan sees our insert). Matching needs no lock we hold, so it
-  // proceeds throughout.
-  static const RoutingPlan kNoPlan;
-  std::unique_lock<std::mutex> rebalance_lk;
-  const RoutingPlan* plan = &kNoPlan;
-  if (range_routed_) {
-    rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
-    plan = &SnapshotUnderRebalanceLock()->plan;
-  }
-  const uint32_t s = ShardFor(id, box, *plan);
-  {
-    std::lock_guard<std::mutex> lk(shards_[s]->mu);
-    shards_[s]->index->Insert(id, box.view());
-  }
-  shards_[s]->subs.fetch_add(1, std::memory_order_relaxed);
-  // Publish the owner mapping only after the insert: nobody can hold this
-  // id yet, and Unsubscribe consults the map first. The count bumps inside
-  // the same critical section — once the map entry exists the id is
-  // Unsubscribe-able, and its decrement must never precede our increment.
-  {
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    shard_of_.emplace(id, s);
-    subscription_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-  rebalance_lk = {};  // tracker sampling needs no routing consistency
-  if (tracker_ != nullptr) tracker_->RecordSubscription(box);
+  std::vector<SubscriptionId> ids;
+  SubscribeBatch(Span<const Box>(&box, 1), &ids);
+  return ids.empty() ? kInvalidObject : ids[0];
 }
 
 void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
@@ -457,8 +400,16 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
   const size_t n = boxes.size();
   out->clear();
   if (n == 0) return;
-  if (role() == EngineRole::kFollower) return;  // read-only; see SubscribeBox
-  for (const Box& b : boxes) ACCL_CHECK(b.dims() == schema_.dims());
+  // A follower's ids come only from the replicated log; refusing before
+  // the allocation keeps the local allocator exactly at the log's heels.
+  if (role() == EngineRole::kFollower) return;
+  const size_t stride = 2 * static_cast<size_t>(schema_.dims());
+  std::vector<float> coords(n * stride);
+  for (size_t i = 0; i < n; ++i) {
+    ACCL_CHECK(boxes[i].dims() == schema_.dims());
+    std::copy(boxes[i].data(), boxes[i].data() + stride,
+              coords.data() + i * stride);
+  }
   SubscriptionId first;
   {
     // One id-allocation critical section for the whole batch.
@@ -466,79 +417,27 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
     first = next_id_;
     next_id_ += static_cast<SubscriptionId>(n);
   }
+  out->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*out)[i] = first + static_cast<SubscriptionId>(i);
+  }
+  const Span<const SubscriptionId> ids(out->data(), n);
   if (wal_ != nullptr) {
-    // One WAL record (and typically one shared sync) for the whole batch.
-    // On log failure `out` stays empty: none of the batch is acknowledged
-    // and none is applied.
-    const size_t stride = 2 * static_cast<size_t>(schema_.dims());
-    std::vector<float> flat(n * stride);
-    for (size_t i = 0; i < n; ++i) {
-      std::copy(boxes[i].data(), boxes[i].data() + stride,
-                flat.data() + i * stride);
+    // Durable path: one record (and typically one shared sync) for the
+    // whole batch, on disk before any of it is applied or acknowledged.
+    // On log failure `out` is emptied: none of the batch is applied (the
+    // allocated ids are simply never used — ids are not reused anyway).
+    const Lsn lsn = wal_->AppendSubscribe(first, static_cast<uint32_t>(n),
+                                          schema_.dims(), coords.data());
+    if (!wal_->WaitDurable(lsn)) {
+      out->clear();
+      return;
     }
-    const Lsn lsn = wal_->AppendSubscribeBatch(
-        first, static_cast<uint32_t>(n), schema_.dims(), flat.data());
-    if (!wal_->WaitDurable(lsn)) return;
-    ApplySubscribeBatch(first, boxes);
+    InsertSubscriptions(ids, coords.data());
     wal_->MarkApplied(lsn);
   } else {
-    ApplySubscribeBatch(first, boxes);
+    InsertSubscriptions(ids, coords.data());
   }
-  out->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(first + static_cast<SubscriptionId>(i));
-  }
-  NotifyCheckpointer(n);
-}
-
-void SubscriptionEngine::ApplySubscribeBatch(SubscriptionId first,
-                                             Span<const Box> boxes) {
-  const size_t n = boxes.size();
-  // Same rebalance-lock discipline as SubscribeBox, held across the whole
-  // grouped insert so a boundary change serializes entirely before or
-  // after the batch; matching routes with the epoch-published snapshot and
-  // proceeds throughout.
-  static const RoutingPlan kNoPlan;
-  std::unique_lock<std::mutex> rebalance_lk;
-  const RoutingPlan* plan = &kNoPlan;
-  if (range_routed_) {
-    rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
-    plan = &SnapshotUnderRebalanceLock()->plan;
-  }
-
-  // Group per target shard; each queue keeps batch order, so the per-shard
-  // insert sequences are exactly the subsequences a SubscribeBox loop
-  // would have produced.
-  exec::ShardQueues queues;
-  queues.Build(n, shards_.size(), [&](size_t i, std::vector<uint32_t>* t) {
-    t->push_back(
-        ShardFor(first + static_cast<SubscriptionId>(i), boxes[i], *plan));
-  });
-
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const size_t nq = queues.size(s);
-    if (nq == 0) continue;
-    const uint32_t* items = queues.items(s);
-    // One shard-lock acquisition per target shard — the whole point.
-    std::lock_guard<std::mutex> lk(shards_[s]->mu);
-    for (size_t j = 0; j < nq; ++j) {
-      shards_[s]->index->Insert(first + items[j], boxes[items[j]].view());
-    }
-    shards_[s]->subs.fetch_add(nq, std::memory_order_relaxed);
-  }
-  {
-    // One owner-map publish for the whole batch.
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const size_t nq = queues.size(s);
-      const uint32_t* items = queues.items(s);
-      for (size_t j = 0; j < nq; ++j) {
-        shard_of_.emplace(first + items[j], static_cast<uint32_t>(s));
-      }
-    }
-    subscription_count_.fetch_add(n, std::memory_order_relaxed);
-  }
-  rebalance_lk = {};
   if (tracker_ != nullptr) {
     // Fold the whole batch off the tracker lock, merge once (the stats
     // discipline every hot path here follows).
@@ -547,6 +446,74 @@ void SubscriptionEngine::ApplySubscribeBatch(SubscriptionId first,
     for (const Box& b : boxes) acc.AddSubscription(b);
     tracker_->Record(acc);
   }
+  NotifyCheckpointer(n);
+}
+
+void SubscriptionEngine::InsertSubscriptions(Span<const SubscriptionId> ids,
+                                             const float* coords) {
+  const size_t n = ids.size();
+  if (n == 0) return;
+  const Dim nd = schema_.dims();
+  const size_t stride = 2 * static_cast<size_t>(nd);
+  // kRange holds the rebalance lock from routing through owner-map
+  // publish: a boundary change (the whole double-residency protocol runs
+  // under rebalance_mu_) is then serialized either entirely before the
+  // group (so it is routed with the new table) or after it (so the
+  // migration scan sees these inserts). Matching needs no lock held here,
+  // so it proceeds throughout.
+  static const RoutingPlan kNoPlan;
+  std::unique_lock<std::mutex> rebalance_lk;
+  const RoutingPlan* plan = &kNoPlan;
+  if (range_routed_) {
+    rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
+    plan = &SnapshotUnderRebalanceLock()->plan;
+  }
+
+  // Group per target shard. Each group keeps input order, so a shard's
+  // insert sequence is exactly the subsequence an Insert loop over the
+  // input would have produced; the groups are laid out back to back so
+  // each lands with one BulkInsert behind one shard-lock acquisition.
+  exec::ShardQueues queues;
+  queues.Build(n, shards_.size(), [&](size_t i, std::vector<uint32_t>* t) {
+    t->push_back(ShardFor(ids[i], BoxView(coords + i * stride, nd), *plan));
+  });
+  std::vector<ObjectId> group_ids(n);
+  std::vector<float> group_coords(n * stride);
+  SubscriptionId max_id = 0;
+  size_t at = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const size_t nq = queues.size(s);
+    if (nq == 0) continue;
+    const uint32_t* items = queues.items(s);
+    const size_t begin = at;
+    for (size_t j = 0; j < nq; ++j, ++at) {
+      group_ids[at] = ids[items[j]];
+      std::copy(coords + items[j] * stride, coords + (items[j] + 1) * stride,
+                group_coords.data() + at * stride);
+      max_id = std::max(max_id, group_ids[at]);
+    }
+    {
+      std::lock_guard<std::mutex> lk(shards_[s]->mu);
+      shards_[s]->index->BulkInsert(
+          Span<const ObjectId>(group_ids.data() + begin, nq),
+          Span<const float>(group_coords.data() + begin * stride,
+                            nq * stride));
+    }
+    shards_[s]->subs.fetch_add(nq, std::memory_order_relaxed);
+  }
+  // Publish the owner map only after the inserts: nobody can hold these
+  // ids yet, and Unsubscribe consults the map first. The count bumps in
+  // the same critical section — once an entry exists the id is
+  // Unsubscribe-able, and its decrement must never precede our increment.
+  std::lock_guard<std::mutex> lk(meta_mu_);
+  at = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    for (size_t j = 0; j < queues.size(s); ++j, ++at) {
+      shard_of_.emplace(group_ids[at], static_cast<uint32_t>(s));
+    }
+  }
+  subscription_count_.fetch_add(n, std::memory_order_relaxed);
+  if (max_id + 1 > next_id_) next_id_ = max_id + 1;
 }
 
 bool SubscriptionEngine::Unsubscribe(SubscriptionId id) {
@@ -743,59 +710,6 @@ void SubscriptionEngine::CaptureDurableImage(
   }
 }
 
-void SubscriptionEngine::RestoreSubscriptions(Span<const SubscriptionId> ids,
-                                              const float* coords) {
-  const size_t n = ids.size();
-  if (n == 0) return;
-  const size_t stride = 2 * static_cast<size_t>(schema_.dims());
-  static const RoutingPlan kNoPlan;
-  std::unique_lock<std::mutex> rebalance_lk;
-  const RoutingPlan* plan = &kNoPlan;
-  if (range_routed_) {
-    rebalance_lk = std::unique_lock<std::mutex>(rebalance_mu_);
-    plan = &SnapshotUnderRebalanceLock()->plan;
-  }
-  // Group per target shard (the SubscribeBatch fast path) and land each
-  // group with one BulkInsert behind one lock acquisition.
-  exec::ShardQueues queues;
-  queues.Build(n, shards_.size(), [&](size_t i, std::vector<uint32_t>* t) {
-    t->push_back(ShardFor(ids[i], Box(BoxView(coords + i * stride,
-                                              schema_.dims())),
-                          *plan));
-  });
-  SubscriptionId max_id = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const size_t nq = queues.size(s);
-    if (nq == 0) continue;
-    const uint32_t* items = queues.items(s);
-    std::vector<ObjectId> ins_ids;
-    std::vector<float> ins_coords;
-    ins_ids.reserve(nq);
-    ins_coords.reserve(nq * stride);
-    for (size_t j = 0; j < nq; ++j) {
-      const SubscriptionId id = ids[items[j]];
-      ins_ids.push_back(id);
-      ins_coords.insert(ins_coords.end(), coords + items[j] * stride,
-                        coords + (items[j] + 1) * stride);
-      max_id = std::max(max_id, id);
-    }
-    {
-      std::lock_guard<std::mutex> lk(shards_[s]->mu);
-      shards_[s]->index->BulkInsert(
-          Span<const ObjectId>(ins_ids.data(), ins_ids.size()),
-          Span<const float>(ins_coords.data(), ins_coords.size()));
-    }
-    shards_[s]->subs.fetch_add(nq, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lk(meta_mu_);
-    for (const ObjectId id : ins_ids) {
-      shard_of_.emplace(id, static_cast<uint32_t>(s));
-    }
-  }
-  subscription_count_.fetch_add(n, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(meta_mu_);
-  if (max_id + 1 > next_id_) next_id_ = max_id + 1;
-}
-
 Relation SubscriptionEngine::RelationFor(const Event& event,
                                          MatchPolicy policy) {
   // Point events are enclosure queries under either policy (a point
@@ -812,52 +726,22 @@ void SubscriptionEngine::Match(const Event& event,
 
 void SubscriptionEngine::Match(const Event& event, MatchPolicy policy,
                                std::vector<SubscriptionId>* out) {
-  ACCL_TRACE_SPAN("match_event");
-  Query q(event.box, RelationFor(event, policy));
-  size_t matched = 0;
-  size_t verified = 0;
-  size_t visits = 0;
-  {
-    // The pin covers routing AND shard execution: the grace period a
-    // migration waits out must include readers that routed with the old
-    // table but have not yet looked inside the source shard.
-    exec::EpochManager::Guard guard = epoch_.Pin();
-    const RoutingSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-    // Returns the raw (pre-dedup) match count; the kRange branch discards
-    // it and recounts after deduplication instead.
-    const auto run = [&](Shard& sh) -> size_t {
-      sh.routed.fetch_add(1, std::memory_order_relaxed);
-      QueryMetrics m;
-      std::lock_guard<std::mutex> lk(sh.mu);
-      sh.index->Execute(q, out, &m);
-      verified += m.objects_verified;
-      return m.result_count;
-    };
-    if (range_routed_) {
-      const size_t first = out->size();
-      std::vector<uint32_t> route;
-      RouteEvent(snap->plan, event.box, &route);
-      for (const uint32_t s : route) run(*snap->shards[s]);
-      visits = route.size();
-      // A migrating subscription may be double-resident in two routed
-      // shards; the ObjectId sort makes duplicates adjacent and one
-      // unique pass removes them (this is also what makes the routed
-      // Match order deterministic across boundary configurations).
-      std::sort(out->begin() + first, out->end());
-      out->erase(std::unique(out->begin() + first, out->end()), out->end());
-      matched = out->size() - first;
-    } else {
-      for (const auto& sh : shards_) matched += run(*sh);
-      visits = shards_.size();
+  // A one-event pipeline run whose sink appends the event's sorted,
+  // deduplicated span: the same routing, execution and finalization as
+  // every batch, on the calling thread (see MatchBatchImpl's worker count).
+  class AppendSink final : public MatchSink {
+   public:
+    explicit AppendSink(std::vector<SubscriptionId>* out) : out_(out) {}
+    void OnEventMatches(size_t, Span<const ObjectId> matches,
+                        uint64_t) override {
+      out_->insert(out_->end(), matches.begin(), matches.end());
     }
-  }  // unpin before MaybeAutoAdapt: an applied decision's grace-period
-     // wait would otherwise deadlock on our own pin
-  obs_->events->Add(1);
-  obs_->matches->Add(matched);
-  obs_->events_routed->Add(visits);
-  obs_->objects_verified->Add(verified);
-  if (tracker_ != nullptr) tracker_->RecordEvent(event.box);
-  MaybeAutoAdapt(1);
+
+   private:
+    std::vector<SubscriptionId>* out_;
+  };
+  AppendSink sink(out);
+  MatchBatchImpl(Span<const Event>(&event, 1), policy, nullptr, &sink);
 }
 
 void SubscriptionEngine::MatchBatch(Span<const Event> events,
@@ -911,7 +795,8 @@ void SubscriptionEngine::ReleaseScratch(std::unique_ptr<PipelineScratch> s) {
 //   - Shard queues are executed in fixed kMatchChunkSize chunks; a worker
 //     claims the next chunk of (preferably) its affine shard under a
 //     try_lock, so a hot shard is interleaved across workers and a
-//     concurrent single-event Match is never starved for a whole batch.
+//     concurrent caller's run (a one-event Match included) is never
+//     starved for a whole batch.
 //     Per-shard execution order stays the queue order regardless of which
 //     worker runs a chunk (claims advance under the shard mutex), so the
 //     per-shard adaptation sequence — and therefore every structure
@@ -970,12 +855,6 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
       ps.queues.Build(ne, k, [&](size_t e, std::vector<uint32_t>* targets) {
         RouteEvent(snap->plan, events[e].box, targets);
       });
-      // Overflow-pressure gauge: resident (owned) subscriptions in the
-      // overflow shard at dispatch time. overflow_shard names the entry so
-      // broadcast callers see "absent", never a silent zero.
-      res->overflow_shard = k - 1;
-      res->per_shard[k - 1].overflow_subscriptions =
-          snap->shards[k - 1]->subs.load(std::memory_order_relaxed);
     } else {
       ps.queues.BuildBroadcast(ne, k);
     }
@@ -1025,8 +904,11 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   }
   if (ps.chunks.size() < total_chunks) ps.chunks.resize(total_chunks);
 
+  // A one-event run (Match, or a one-event MatchBatch) stays on the
+  // calling thread: its at most K one-query chunks are less work than a
+  // pool hand-off.
   const size_t workers =
-      pool_ != nullptr
+      pool_ != nullptr && ne > 1
           ? std::min(pool_->concurrency(), std::max<size_t>(1, total_chunks))
           : 1;
   if (ps.gather.size() < workers) ps.gather.resize(workers);
@@ -1038,7 +920,7 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   ps.pop_retry.assign(workers, 0);
 
   if (workers > 1) {
-    pool_->ParallelForDynamic(workers, [&](size_t w) {
+    pool_->ParallelFor(workers, [&](size_t w) {
       RunPipelineWorker(w, ps, snap, events, policy, res, sink);
     });
   } else {
@@ -1247,7 +1129,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
     if (executed) continue;
     if (first_pending < k) {
       // Every pending shard's mutex was momentarily held (another worker's
-      // chunk, or a concurrent single-event Match). If finalize work
+      // chunk, or a concurrent caller's run). If finalize work
       // arrived meanwhile, loop back for it; otherwise block once on the
       // first pending shard — bounded by one chunk of the current holder —
       // instead of spinning.
@@ -1476,12 +1358,8 @@ void SubscriptionEngine::ApplyRoutingLocked(RoutingPlan plan) {
   // table find the moving subscriptions at their destinations, so the
   // source copies below are dead weight for every possible reader.
   PublishSnapshot(std::move(plan));
-  // Wait out the grace period but do NOT reclaim inline: retire work is
-  // amortized into pool idle time (the idle hook runs TryReclaim), so the
-  // publisher's wall cost is just the grace wait. Pool-less engines have
-  // no idle hook, so they reclaim here to bound retired_pending.
-  epoch_.WaitGrace();
-  if (pool_ == nullptr) epoch_.TryReclaim();
+  // The same grace period frees the superseded snapshot (a few bytes).
+  epoch_.Synchronize();
 
   // Phase 4 — deferred source cleanup: flip ownership and bulk-erase the
   // stale source copies. An id whose second_home_ entry is gone was

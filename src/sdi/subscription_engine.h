@@ -234,10 +234,11 @@ class SubscriptionEngine {
 
   /// Registers boxes.size() subscriptions in one call; ids are assigned
   /// contiguously in box order and returned in `*out` (its previous
-  /// contents are discarded) — observably identical to calling
-  /// SubscribeBox in a loop, but the batch is grouped per target shard so
-  /// each shard lock (and the id-allocation lock) is taken once instead
-  /// of once per subscription.
+  /// contents are discarded; empty when the engine is a follower or the
+  /// log refused the record). Observably identical to calling SubscribeBox
+  /// in a loop, but the batch is one WAL record and is grouped per target
+  /// shard, so each shard lock (and the id-allocation lock) is taken once
+  /// instead of once per subscription. SubscribeBox is a batch of one.
   void SubscribeBatch(Span<const Box> boxes,
                       std::vector<SubscriptionId>* out);
 
@@ -250,14 +251,14 @@ class SubscriptionEngine {
     return subscription_count_.load(std::memory_order_relaxed);
   }
 
-  /// Matches an event against the database; appends notified subscription
-  /// ids to `*out`. For kHashId the appended ids are in shard-major order
-  /// (with one shard this is exactly the classic engine's order); for
-  /// kRange they are sorted ascending by ObjectId and deduplicated
-  /// (double-residency may surface a migrating subscription in two
-  /// shards). Uses the default policy unless overridden. Feeds the same
-  /// accl_pipeline_* registry counters as MatchBatch (events, matches,
-  /// events routed, objects verified).
+  /// Matches an event against the database; appends the notified
+  /// subscription ids to `*out`, sorted ascending by ObjectId and
+  /// duplicate-free under every sharding policy. It is a one-event run of
+  /// the MatchBatch pipeline (a sink appends the event's span), so the
+  /// appended ids are byte-identical to MatchBatch's `matches[0]` and the
+  /// call feeds the same accl_pipeline_* registry counters (one batch per
+  /// call). A one-event run executes on the calling thread; it never
+  /// dispatches to the pool. Uses the default policy unless overridden.
   void Match(const Event& event, std::vector<SubscriptionId>* out);
   void Match(const Event& event, MatchPolicy policy,
              std::vector<SubscriptionId>* out);
@@ -273,11 +274,10 @@ class SubscriptionEngine {
   /// shard/thread/boundary configuration — including while a rebalance is
   /// in flight. Per-shard metrics land in `out->per_shard` (shard order),
   /// aggregated into `out->total`; `per_shard[s].events_routed` counts the
-  /// events dispatched to shard s, every entry carries the
-  /// `resident_subscriptions` gauge, and under kRange the entry named by
-  /// `out->overflow_shard` carries the `overflow_subscriptions` pressure
-  /// gauge (kNoOverflowShard under kHashId — explicitly absent,
-  /// not silently zero). `out->routing_version` / `out->epoch` record the
+  /// events dispatched to shard s and every entry carries the
+  /// `resident_subscriptions` gauge (under kRange the last entry is the
+  /// overflow shard, so its gauge is the straddler pressure).
+  /// `out->routing_version` / `out->epoch` record the
   /// snapshot and epoch the batch ran under. Reusing one result object
   /// across batches is allocation-free at steady state (capacity-
   /// preserving Clear + engine-pooled pipeline scratch).
@@ -469,7 +469,7 @@ class SubscriptionEngine {
 
   /// Crash recovery factory: loads the newest valid checkpoint from
   /// `checkpoints` (null/absent/corrupt degrades to an empty image),
-  /// rebuilds the shards through the grouped BulkInsert fast path, then
+  /// rebuilds the shards through the one grouped insert path, then
   /// replays `wal`'s surviving tail idempotently — records at or below
   /// the checkpoint LSN are gone (truncated) or skipped, and a subscribe
   /// whose id is already live (a fuzzy checkpoint captured an effect past
@@ -538,13 +538,11 @@ class SubscriptionEngine {
   /// Shard choice for one subscription. `plan` is only read by kRange
   /// (callers pass the routing snapshot they routed the rest of the
   /// operation with).
-  uint32_t ShardFor(SubscriptionId id, const Box& box,
+  uint32_t ShardFor(SubscriptionId id, BoxView box,
                     const RoutingPlan& plan) const;
   /// kRange home of a box under `plan`: its slice's shard, or the overflow
-  /// shard for a fence straddler. B is Box or BoxView (defined in the .cc;
-  /// every instantiation lives there).
-  template <typename B>
-  uint32_t RangeShardFor(const RoutingPlan& plan, const B& box) const;
+  /// shard for a fence straddler.
+  uint32_t RangeShardFor(const RoutingPlan& plan, BoxView box) const;
   /// Shards an event must visit under `plan`: the slice span of its
   /// fence-dimension interval, then the overflow shard — ascending.
   void RouteEvent(const RoutingPlan& plan, const Box& box,
@@ -569,8 +567,8 @@ class SubscriptionEngine {
   /// callers each get their own while capacity survives across batches.
   struct PipelineScratch;
 
-  /// Shared body of the four MatchBatch overloads. Exactly one of
-  /// `out`/`sink` is non-null: `out` materializes per-event matches,
+  /// Shared body of Match and the four MatchBatch overloads. Exactly one
+  /// of `out`/`sink` is non-null: `out` materializes per-event matches,
   /// `sink` streams them (metrics then accumulate into pooled scratch).
   void MatchBatchImpl(Span<const Event> events, MatchPolicy policy,
                       MatchBatchResult* out, MatchSink* sink);
@@ -585,18 +583,19 @@ class SubscriptionEngine {
   std::unique_ptr<PipelineScratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<PipelineScratch> s);
 
-  /// Non-durable mutation bodies: the routing + shard insert/erase +
-  /// owner-map bookkeeping the public entry points run after (or instead
-  /// of) the WAL round trip.
-  void ApplySubscribe(SubscriptionId id, const Box& box);
-  void ApplySubscribeBatch(SubscriptionId first, Span<const Box> boxes);
+  /// The one insert path, behind SubscribeBatch (and so SubscribeBox),
+  /// Recover's image restore and ApplyReplicated: routes every
+  /// (ids[i], box i) pair — `coords` holds ids.size()*2*nd floats — under
+  /// the rebalance lock and the current snapshot, lands each shard's group
+  /// with one BulkInsert (placement identical to Insert in input order),
+  /// then publishes the owner map and raises next_id_ past the largest id.
+  /// Never samples the adaptive tracker: only the public subscribe entry
+  /// point does.
+  void InsertSubscriptions(Span<const SubscriptionId> ids,
+                           const float* coords);
+  /// Non-durable unsubscribe body (Unsubscribe after its WAL round trip,
+  /// and replay).
   bool ApplyUnsubscribe(SubscriptionId id);
-  /// Recovery-only bulk restore: inserts the (id, box) pairs — ids given,
-  /// not allocated — grouped per target shard via BulkInsert, and bumps
-  /// next_id_ past the highest id seen. `coords` is ids.size()*2*nd
-  /// floats. Single-threaded use (the engine is not yet published).
-  void RestoreSubscriptions(Span<const SubscriptionId> ids,
-                            const float* coords);
   void NotifyCheckpointer(uint64_t mutations);
 
   /// Double-residency migration: scans every shard for residents `plan`

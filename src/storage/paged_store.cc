@@ -28,10 +28,6 @@ struct FileHeader {
   uint64_t dir_first;
   uint64_t dir_pages;
   uint64_t dir_bytes;
-  /// Append-stream front-truncation pointer. Files written before the
-  /// field existed carry zeros in the (always 4096-byte) header block, so
-  /// they read back as "stream starts at 0" — no version bump needed.
-  uint64_t stream_start;
 };
 
 }  // namespace
@@ -55,7 +51,7 @@ std::unique_ptr<PagedFile> PagedFile::Create(const std::string& path,
   std::FILE* f = std::fopen(path.c_str(), "wb+");
   if (f == nullptr) return nullptr;
   FileHeader h{kFileMagic, kFileVersion, page_bytes, 0, 0,
-               kNoDirectory, 0,           0,          0};
+               kNoDirectory, 0,           0};
   // Flush the fresh header to the OS before handing the file out. "wb+"
   // already truncated any previous (possibly corrupt) contents, so on any
   // failure here we remove the remnant entirely: a half-created file must
@@ -108,9 +104,6 @@ std::unique_ptr<PagedFile> PagedFile::Open(const std::string& path) {
       return reject();
     }
   }
-  // The stream-start pointer must lie inside the backed payload (page_count
-  // is already validated against the actual file size above).
-  if (h.stream_start > h.page_count * h.page_bytes) return reject();
   auto pf = std::unique_ptr<PagedFile>(new PagedFile());
   pf->file_ = f;
   pf->page_bytes_ = h.page_bytes;
@@ -118,15 +111,14 @@ std::unique_ptr<PagedFile> PagedFile::Open(const std::string& path) {
   pf->dir_first_ = h.dir_first;
   pf->dir_pages_ = h.dir_pages;
   pf->dir_bytes_ = h.dir_bytes;
-  pf->stream_start_ = h.stream_start;
   // All pages start free; the directory loader re-marks live runs.
   if (h.page_count > 0) pf->free_runs_.push_back({0, h.page_count});
   return pf;
 }
 
 bool PagedFile::PersistHeader() {
-  FileHeader h{kFileMagic, kFileVersion, page_bytes_, 0,          page_count_,
-               dir_first_, dir_pages_,   dir_bytes_,  stream_start_};
+  FileHeader h{kFileMagic, kFileVersion, page_bytes_, 0,
+               page_count_, dir_first_,  dir_pages_,  dir_bytes_};
   if (!WriteHeaderTo(file_, h)) return false;
   return std::fflush(file_) == 0;
 }
@@ -245,15 +237,6 @@ bool PagedFile::WriteAt(uint64_t first_page, uint64_t off, const void* data,
 bool PagedFile::Sync() {
   if (std::fflush(file_) != 0) return false;
   return fsync(fileno(file_)) == 0;
-}
-
-bool PagedFile::SetStreamStart(uint64_t off) {
-  if (off < stream_start_ || off > payload_bytes()) return false;
-  const uint64_t prev = stream_start_;
-  stream_start_ = off;
-  if (PersistHeader()) return true;
-  stream_start_ = prev;  // keep agreeing with the last durable header
-  return false;
 }
 
 bool PagedFile::StreamWrite(uint64_t off, const void* data, uint64_t len) {

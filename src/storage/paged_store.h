@@ -68,27 +68,18 @@ class PagedFile {
   /// after Open). False when the run is not entirely free.
   bool MarkAllocated(uint64_t first, uint64_t n);
 
-  // ---- Append-stream support (write-ahead logging) ----
+  // ---- Append-stream support (write-ahead log segments) ----
   // A file can alternatively be used as one logical byte stream over the
-  // payload pages: absolute byte offsets, file growth on demand, and a
-  // durable *start* pointer in the header recording how far the stream has
-  // been truncated from the front. The stream's tail is deliberately NOT
-  // persisted — the owner (durability::WriteAheadLog) finds it by scanning
-  // its checksum-framed records, so appends need no header write. Stream
-  // and run allocation should not be mixed on one file: stream growth
-  // claims pages without consulting the free-run list.
+  // payload pages: absolute byte offsets and file growth on demand. The
+  // stream's tail is deliberately NOT persisted — the owner
+  // (durability::WalSegment) finds it by scanning its checksum-framed
+  // records, so appends need no header write — and it is never truncated
+  // from the front: the log drops whole segment files instead. Stream and
+  // run allocation should not be mixed on one file: stream growth claims
+  // pages without consulting the free-run list.
 
   /// Total payload bytes currently backed by the file.
   uint64_t payload_bytes() const { return page_count_ * page_bytes_; }
-
-  /// Byte offset the stream logically starts at (0 for a fresh file).
-  uint64_t stream_start() const { return stream_start_; }
-
-  /// Persists a new stream start (front truncation). Monotone by contract;
-  /// on header-write failure the previous value is kept (like
-  /// SetDirectory) so the in-memory pointer always matches the durable
-  /// header.
-  bool SetStreamStart(uint64_t off);
 
   /// Writes `len` bytes at absolute payload offset `off`, growing the file
   /// (whole pages) as needed. Returns false on I/O failure.
@@ -113,7 +104,6 @@ class PagedFile {
   uint64_t dir_first_ = ~0ull;
   uint64_t dir_pages_ = 0;
   uint64_t dir_bytes_ = 0;
-  uint64_t stream_start_ = 0;
   std::vector<FreeRunRec> free_runs_;
 };
 

@@ -103,8 +103,10 @@ TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
   acc.AddEvent(NarrowOn(1, 0.7f, 0.1f));
   acc.AddSubscription(NarrowOn(2, 0.3f, 0.05f));
   tracker.Record(acc);
-  tracker.RecordEvent(NarrowOn(1, 0.2f, 0.1f));
-  tracker.RecordSubscription(NarrowOn(2, 0.8f, 0.05f));
+  acc.Reset(kNd);
+  acc.AddEvent(NarrowOn(1, 0.2f, 0.1f));
+  acc.AddSubscription(NarrowOn(2, 0.8f, 0.05f));
+  tracker.Record(acc);
 
   const adapt::PatternSnapshot snap = tracker.Snapshot();
   EXPECT_EQ(snap.events, 3u);
@@ -127,7 +129,10 @@ TEST(PatternTracker, AccumulatorFoldAndSnapshotCounts) {
 
 TEST(PatternTracker, ObservationsAgeOutAfterKGenerations) {
   adapt::QueryPatternTracker tracker(kNd);
-  tracker.RecordEvent(NarrowOn(0, 0.5f, 0.1f));
+  adapt::PatternAccumulator one_event;
+  one_event.Reset(kNd);
+  one_event.AddEvent(NarrowOn(0, 0.5f, 0.1f));
+  tracker.Record(one_event);
   for (size_t w = 0; w < adapt::QueryPatternTracker::kGenerations - 1; ++w) {
     tracker.AdvanceWindow();
     EXPECT_EQ(tracker.Snapshot().events, 1u) << "window " << w;
@@ -136,7 +141,7 @@ TEST(PatternTracker, ObservationsAgeOutAfterKGenerations) {
   EXPECT_EQ(tracker.Snapshot().events, 0u);
   EXPECT_EQ(tracker.events_observed(), 1u);  // lifetime counter unaffected
 
-  tracker.RecordEvent(NarrowOn(0, 0.5f, 0.1f));
+  tracker.Record(one_event);
   tracker.ResetWindow();  // full reset clears every generation at once
   EXPECT_EQ(tracker.Snapshot().events, 0u);
 }

@@ -107,7 +107,7 @@ WriteAheadLog::Options SmallSegments() {
 void AppendSerial(WriteAheadLog* wal, ObjectId first_id, int n, float seed) {
   const auto c = BoxCoords(2, seed);
   for (int i = 0; i < n; ++i) {
-    const Lsn l = wal->AppendSubscribe(first_id + i, 2, c.data());
+    const Lsn l = wal->AppendSubscribe(first_id + i, 1, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(l));
   }
 }
@@ -118,11 +118,11 @@ TEST(WriteAheadLog, AppendReplayRoundTrip) {
   ASSERT_NE(wal, nullptr);
 
   const auto c1 = BoxCoords(3, 0.1f);
-  const Lsn l1 = wal->AppendSubscribe(7, 3, c1.data());
+  const Lsn l1 = wal->AppendSubscribe(7, 1, 3, c1.data());
   const auto cb = BoxCoords(3, 0.3f);
   std::vector<float> batch(cb);
   batch.insert(batch.end(), cb.begin(), cb.end());
-  const Lsn l2 = wal->AppendSubscribeBatch(8, 2, 3, batch.data());
+  const Lsn l2 = wal->AppendSubscribe(8, 2, 3, batch.data());
   const Lsn l3 = wal->AppendUnsubscribe(7);
   EXPECT_EQ(l1, 1u);
   EXPECT_EQ(l2, 2u);
@@ -136,7 +136,7 @@ TEST(WriteAheadLog, AppendReplayRoundTrip) {
   EXPECT_EQ(recs[0].first_id, 7u);
   EXPECT_EQ(recs[0].count, 1u);
   EXPECT_EQ(recs[0].coords, c1);
-  EXPECT_EQ(recs[1].type, WalRecordType::kSubscribeBatch);
+  EXPECT_EQ(recs[1].type, WalRecordType::kSubscribe);
   EXPECT_EQ(recs[1].first_id, 8u);
   EXPECT_EQ(recs[1].count, 2u);
   EXPECT_EQ(recs[1].coords, batch);
@@ -148,12 +148,58 @@ TEST(WriteAheadLog, AppendReplayRoundTrip) {
   RemoveWalFiles(base);
 }
 
+TEST(WriteAheadLog, RetiredBatchKindReplaysAsSubscribe) {
+  // Logs written before the subscribe kinds were folded carry batch
+  // records as type byte 2 with the subscribe encoding; they must replay.
+  const std::string base = FreshBase("wal_retired_kind.wal");
+  const auto c = BoxCoords(2, 0.4f);
+  std::vector<float> two(c);
+  two.insert(two.end(), c.begin(), c.end());
+  {
+    auto wal = WriteAheadLog::Create(base, {});
+    ASSERT_TRUE(wal->WaitDurable(wal->AppendSubscribe(5, 2, 2, two.data())));
+  }
+  {
+    // Rewrite the frame's type byte to 2, re-checksummed so only the kind
+    // differs from a freshly written record.
+    auto pf = PagedFile::Open(SegmentPath(base, 1));
+    ASSERT_NE(pf, nullptr);
+    uint8_t hdr[kFrameHeaderBytes];
+    ASSERT_TRUE(pf->StreamRead(kSegmentPreambleBytes, hdr, sizeof(hdr)));
+    uint32_t len = 0;
+    Lsn lsn = 0;
+    uint64_t gen = 0;
+    std::memcpy(&len, hdr, 4);
+    std::memcpy(&lsn, hdr + 8, 8);
+    std::memcpy(&gen, hdr + 16, 8);
+    std::vector<uint8_t> payload(len);
+    const uint64_t at = kSegmentPreambleBytes + kFrameHeaderBytes;
+    ASSERT_TRUE(pf->StreamRead(at, payload.data(), len));
+    payload[0] = 2;
+    const uint32_t crc = FrameChecksum(payload.data(), len, lsn, gen);
+    std::memcpy(hdr + 4, &crc, 4);
+    ASSERT_TRUE(pf->StreamWrite(kSegmentPreambleBytes, hdr, sizeof(hdr)));
+    ASSERT_TRUE(pf->StreamWrite(at, payload.data(), len));
+    ASSERT_TRUE(pf->Sync());
+  }
+  auto wal = WriteAheadLog::Open(base, {});
+  ASSERT_NE(wal, nullptr);
+  const std::vector<WalRecord> recs = ReplayAll(*wal);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].type, WalRecordType::kSubscribe);
+  EXPECT_EQ(recs[0].first_id, 5u);
+  EXPECT_EQ(recs[0].count, 2u);
+  EXPECT_EQ(recs[0].coords, two);
+  wal.reset();
+  RemoveWalFiles(base);
+}
+
 TEST(WriteAheadLog, ReopenFindsTheDurablePrefixAndContinuesLsns) {
   const std::string base = FreshBase("wal_reopen.wal");
   const auto c = BoxCoords(2, 0.2f);
   {
     auto wal = WriteAheadLog::Create(base, {});
-    for (int i = 0; i < 5; ++i) wal->AppendSubscribe(i, 2, c.data());
+    for (int i = 0; i < 5; ++i) wal->AppendSubscribe(i, 1, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(5));
   }
   auto wal = WriteAheadLog::Open(base, {});
@@ -162,7 +208,7 @@ TEST(WriteAheadLog, ReopenFindsTheDurablePrefixAndContinuesLsns) {
   EXPECT_EQ(wal->max_lsn(), 5u);
   EXPECT_EQ(ReplayAll(*wal).size(), 5u);
   // New appends continue after the scanned prefix.
-  EXPECT_EQ(wal->AppendSubscribe(99, 2, c.data()), 6u);
+  EXPECT_EQ(wal->AppendSubscribe(99, 1, 2, c.data()), 6u);
   ASSERT_TRUE(wal->WaitDurable(6));
   EXPECT_EQ(ReplayAll(*wal).size(), 6u);
   wal.reset();
@@ -174,7 +220,7 @@ TEST(WriteAheadLog, CorruptTailStopsReplayCleanly) {
   const auto c = BoxCoords(2, 0.4f);
   {
     auto wal = WriteAheadLog::Create(base, {});
-    for (int i = 0; i < 4; ++i) wal->AppendSubscribe(i, 2, c.data());
+    for (int i = 0; i < 4; ++i) wal->AppendSubscribe(i, 1, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(4));
   }
   // Scribble garbage over the last record's frame: a torn tail.
@@ -192,7 +238,7 @@ TEST(WriteAheadLog, CorruptTailStopsReplayCleanly) {
   // the log keeps working from there.
   EXPECT_EQ(wal->max_lsn(), 3u);
   EXPECT_EQ(ReplayAll(*wal).size(), 3u);
-  EXPECT_EQ(wal->AppendSubscribe(50, 2, c.data()), 4u);
+  EXPECT_EQ(wal->AppendSubscribe(50, 1, 2, c.data()), 4u);
   ASSERT_TRUE(wal->WaitDurable(4));
   EXPECT_EQ(ReplayAll(*wal).size(), 4u);
   wal.reset();
@@ -240,7 +286,7 @@ TEST(WriteAheadLog, ReopenResumesInEmptyJustRotatedTail) {
   }
   // Simulate a crash between a rotation's seal and the first write into
   // the new segment: the chain is [full seg 1, empty seg 2] on disk.
-  ASSERT_NE(WalSegment::Create(SegmentPath(base, 2), 4096, /*seq=*/2,
+  ASSERT_NE(WalSegment::Create(SegmentPath(base, 2), /*seq=*/2,
                                /*base_lsn=*/3, /*disk=*/nullptr),
             nullptr);
   auto wal = WriteAheadLog::Open(base, SmallSegments());
@@ -350,7 +396,7 @@ TEST(WriteAheadLog, PerRecordModeSyncsEveryRecord) {
   auto wal = WriteAheadLog::Open(base, opts);
   const auto c = BoxCoords(2, 0.6f);
   for (int i = 0; i < 8; ++i) {
-    const Lsn l = wal->AppendSubscribe(i, 2, c.data());
+    const Lsn l = wal->AppendSubscribe(i, 1, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(l));
   }
   const WalStats st = wal->stats();
@@ -371,7 +417,7 @@ TEST(WriteAheadLog, GroupCommitSharesSyncsAcrossConcurrentAppenders) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        const Lsn l = wal->AppendSubscribe(i, 2, c.data());
+        const Lsn l = wal->AppendSubscribe(i, 1, 2, c.data());
         ASSERT_TRUE(wal->WaitDurable(l));
       }
     });
@@ -396,13 +442,13 @@ TEST(WriteAheadLog, InjectedFaultBreaksTheLogAndRefusesAcks) {
   opts.disk = &disk;
   auto wal = WriteAheadLog::Open(base, opts);
   const auto c = BoxCoords(2, 0.8f);
-  const Lsn ok = wal->AppendSubscribe(1, 2, c.data());
+  const Lsn ok = wal->AppendSubscribe(1, 1, 2, c.data());
   ASSERT_TRUE(wal->WaitDurable(ok));
   disk.FailAfter(0);
-  const Lsn bad = wal->AppendSubscribe(2, 2, c.data());
+  const Lsn bad = wal->AppendSubscribe(2, 1, 2, c.data());
   EXPECT_FALSE(wal->WaitDurable(bad));  // never acknowledged
   EXPECT_TRUE(wal->broken());
-  EXPECT_EQ(wal->AppendSubscribe(3, 2, c.data()), kNoLsn);  // fails fast
+  EXPECT_EQ(wal->AppendSubscribe(3, 1, 2, c.data()), kNoLsn);  // fails fast
   // A broken log refuses truncation too: its in-memory chain can no
   // longer be trusted to match the files.
   EXPECT_EQ(wal->Truncate(1).code(), StatusCode::kFailedPrecondition);

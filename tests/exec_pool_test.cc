@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -47,52 +46,6 @@ TEST(ThreadPool, DestructorDrainsSubmittedTasks) {
     }
   }  // ~ThreadPool joins only after the queue is empty
   EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForDynamicCoversEveryIndexExactlyOnce) {
-  exec::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hit(1000);
-  for (auto& h : hit) h.store(0);
-  pool.ParallelForDynamic(1000, [&](size_t i) { hit[i].fetch_add(1); });
-  for (size_t i = 0; i < hit.size(); ++i) {
-    EXPECT_EQ(hit[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForDynamicZeroWorkersRunsOnCaller) {
-  exec::ThreadPool pool(0);
-  const auto caller = std::this_thread::get_id();
-  std::atomic<int> ran{0};
-  pool.ParallelForDynamic(64, [&](size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, ParallelForDynamicReusableAcrossManyCalls) {
-  exec::ThreadPool pool(2);
-  std::atomic<uint64_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelForDynamic(20, [&](size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 1000u);
-}
-
-TEST(ThreadPool, IdleHookRunsWhenWorkersDrain) {
-  exec::ThreadPool pool(2);
-  std::atomic<int> hook_runs{0};
-  pool.SetIdleHook([&] { hook_runs.fetch_add(1); });
-  std::atomic<int> ran{0};
-  pool.ParallelFor(32, [&](size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 32);
-  // Workers go idle after the burst drains; each idle transition runs the
-  // hook once. Poll rather than assume scheduling: the workers may need a
-  // moment to re-acquire the queue lock and observe emptiness.
-  for (int spin = 0; spin < 2000 && hook_runs.load() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(hook_runs.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForFromMultipleCallers) {

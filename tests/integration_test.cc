@@ -6,7 +6,7 @@
 #include "core/adaptive_index.h"
 #include "rstar/rstar_tree.h"
 #include "seqscan/seq_scan.h"
-#include "storage/persist.h"
+#include "storage/paged_store.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/query_gen.h"
@@ -94,9 +94,18 @@ TEST(Integration, SaveLoadContinuesPipeline) {
     ac.Execute(q, &out);
   }
 
-  const std::string path = testing::TempDir() + "/accl_integration.img";
-  ASSERT_TRUE(SaveIndexImage(ac, path));
-  auto loaded = LoadIndexImage(path, cfg);
+  // Checkpoint into the §6 paged layout; only the file survives.
+  const std::string path = testing::TempDir() + "/accl_integration.pf";
+  {
+    ClusterFileStore store(PagedFile::Create(path, 16384), nd);
+    ASSERT_TRUE(store.PutAll(ac));
+    ASSERT_TRUE(store.SaveDirectory());
+  }
+  auto store = ClusterFileStore::Load(PagedFile::Open(path));
+  ASSERT_NE(store, nullptr);
+  std::vector<ClusterImage> images;
+  ASSERT_TRUE(store->GetAll(&images));
+  auto loaded = AdaptiveIndex::FromImages(cfg, images);
   ASSERT_NE(loaded, nullptr);
 
   // The recovered index must answer identically and keep adapting.

@@ -6,9 +6,8 @@
 //     kHashId and range-routed kRange), and both match policies — the
 //     pipeline's countdown/ready-stack finalization must be invisible in
 //     the output.
-//   - The overflow gauge is explicitly absent (kNoOverflowShard sentinel)
-//     under broadcast policies and populated under kRange; the per-shard
-//     resident_subscriptions gauge is populated under every policy.
+//   - The per-shard resident_subscriptions gauge is populated under every
+//     policy; under kRange the last entry is the overflow shard's.
 //   - MatchBatchResult reuse across batches is capacity-preserving: the
 //     per-event vectors' storage survives Clear() and is reused in place.
 //   - An adversarial run: streamed and materialized batches stay
@@ -127,7 +126,7 @@ TEST(MatchPipeline, StreamedEqualsMaterializedEqualsOracleEverywhere) {
   }
 }
 
-TEST(MatchPipeline, OverflowGaugeAbsentForBroadcastPopulatedForRange) {
+TEST(MatchPipeline, ResidentGaugesPopulatedForEveryPolicy) {
   Rng rng(778);
   std::vector<Box> boxes;
   for (int i = 0; i < 400; ++i) {
@@ -151,21 +150,11 @@ TEST(MatchPipeline, OverflowGaugeAbsentForBroadcastPopulatedForRange) {
     }
     EXPECT_EQ(residents, boxes.size());
 
-    if (sharding == ShardingPolicy::kRange) {
-      ASSERT_EQ(res.overflow_shard, res.per_shard.size() - 1);
-      // The overflow gauge is the overflow shard's resident count.
-      EXPECT_EQ(res.per_shard[res.overflow_shard].overflow_subscriptions,
-                res.per_shard[res.overflow_shard].resident_subscriptions);
-      for (size_t s = 0; s + 1 < res.per_shard.size(); ++s) {
-        EXPECT_EQ(res.per_shard[s].overflow_subscriptions, 0u) << s;
-      }
-    } else {
-      // Explicitly absent, not silently zero: the sentinel says no entry
-      // carries the gauge.
-      EXPECT_EQ(res.overflow_shard, MatchBatchResult::kNoOverflowShard);
-      for (const ShardMetrics& sm : res.per_shard) {
-        EXPECT_EQ(sm.overflow_subscriptions, 0u);
-      }
+    if (engine.range_routed()) {
+      // The overflow shard is the last entry: its gauge is the straddler
+      // pressure, the overflow shard's own residency.
+      EXPECT_EQ(res.per_shard.back().resident_subscriptions,
+                engine.GetShardInfos().back().subscriptions);
     }
   }
 }

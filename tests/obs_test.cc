@@ -489,8 +489,8 @@ TEST(ObsEngineCoverage, SingleEventMatchFeedsThePipelineCounters) {
     routed += info.routed_events;
   }
   EXPECT_EQ(d.Find("accl_pipeline_events_routed_total")->counter, routed);
-  // No batch ran: the batch-only families stay untouched.
-  EXPECT_EQ(d.Find("accl_pipeline_batches_total")->counter, 0u);
+  // Each Match is a one-event pipeline run.
+  EXPECT_EQ(d.Find("accl_pipeline_batches_total")->counter, kCalls);
   EXPECT_NE(engine.DumpMetrics().find("accl_pipeline_events_total " +
                                       std::to_string(kCalls)),
             std::string::npos);

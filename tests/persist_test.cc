@@ -1,8 +1,14 @@
+// Index persistence through the paper's §6 paged layout: an adaptive index
+// checkpointed with ClusterFileStore::PutAll + SaveDirectory, reopened from
+// the file's one-block directory, and rebuilt with AdaptiveIndex::FromImages
+// keeps its structure and answers, and keeps adapting (statistics restart
+// empty, as §6 allows). File-level rejections (garbage, truncation, missing
+// files) are covered by paged_store_test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "storage/persist.h"
+#include "storage/paged_store.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/query_gen.h"
@@ -45,13 +51,28 @@ std::unique_ptr<AdaptiveIndex> BuildStructured(Dim nd, size_t count,
   return idx;
 }
 
+// Checkpoints `idx` into a fresh page file at `path`, drops the store (only
+// the file survives), and rebuilds an index from the reopened directory.
+std::unique_ptr<AdaptiveIndex> SaveAndReload(const AdaptiveIndex& idx,
+                                             const std::string& path) {
+  {
+    ClusterFileStore store(PagedFile::Create(path, 4096), idx.config().nd);
+    if (!store.PutAll(idx) || !store.SaveDirectory()) return nullptr;
+  }
+  auto file = PagedFile::Open(path);
+  if (file == nullptr) return nullptr;
+  auto store = ClusterFileStore::Load(std::move(file));
+  if (store == nullptr) return nullptr;
+  std::vector<ClusterImage> images;
+  if (!store->GetAll(&images)) return nullptr;
+  return AdaptiveIndex::FromImages(idx.config(), images);
+}
+
 TEST(Persist, RoundTripPreservesStructureAndAnswers) {
   auto idx = BuildStructured(3, 5000, 1);
   ASSERT_GT(idx->cluster_count(), 1u);
-  const std::string path = TempPath("accl_roundtrip.img");
-  ASSERT_TRUE(SaveIndexImage(*idx, path));
-
-  auto loaded = LoadIndexImage(path, Cfg(3));
+  const std::string path = TempPath("accl_roundtrip.pf");
+  auto loaded = SaveAndReload(*idx, path);
   ASSERT_NE(loaded, nullptr);
   loaded->CheckInvariants();
   EXPECT_EQ(loaded->size(), idx->size());
@@ -71,9 +92,8 @@ TEST(Persist, RoundTripPreservesStructureAndAnswers) {
 
 TEST(Persist, LoadedIndexKeepsAdapting) {
   auto idx = BuildStructured(2, 4000, 3);
-  const std::string path = TempPath("accl_adapting.img");
-  ASSERT_TRUE(SaveIndexImage(*idx, path));
-  auto loaded = LoadIndexImage(path, Cfg(2));
+  const std::string path = TempPath("accl_adapting.pf");
+  auto loaded = SaveAndReload(*idx, path);
   ASSERT_NE(loaded, nullptr);
   // Statistics restart empty; further queries must still be answerable and
   // reorganization must still run without violating invariants.
@@ -89,48 +109,11 @@ TEST(Persist, LoadedIndexKeepsAdapting) {
 
 TEST(Persist, EmptyIndexRoundTrip) {
   AdaptiveIndex idx(Cfg(4));
-  const std::string path = TempPath("accl_empty.img");
-  ASSERT_TRUE(SaveIndexImage(idx, path));
-  auto loaded = LoadIndexImage(path, Cfg(4));
+  const std::string path = TempPath("accl_empty.pf");
+  auto loaded = SaveAndReload(idx, path);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->size(), 0u);
   EXPECT_EQ(loaded->cluster_count(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Persist, RejectsMissingFile) {
-  EXPECT_EQ(LoadIndexImage("/nonexistent/path.img", Cfg(2)), nullptr);
-}
-
-TEST(Persist, RejectsWrongDimensionality) {
-  auto idx = BuildStructured(3, 1000, 5);
-  const std::string path = TempPath("accl_wrongnd.img");
-  ASSERT_TRUE(SaveIndexImage(*idx, path));
-  EXPECT_EQ(LoadIndexImage(path, Cfg(4)), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(Persist, RejectsCorruptedMagic) {
-  auto idx = BuildStructured(2, 500, 7);
-  const std::string path = TempPath("accl_badmagic.img");
-  ASSERT_TRUE(SaveIndexImage(*idx, path));
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(ReadFile(path, &bytes));
-  bytes[0] ^= 0xFF;
-  ASSERT_TRUE(WriteFile(path, bytes));
-  EXPECT_EQ(LoadIndexImage(path, Cfg(2)), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(Persist, RejectsTruncatedFile) {
-  auto idx = BuildStructured(2, 2000, 9);
-  const std::string path = TempPath("accl_trunc.img");
-  ASSERT_TRUE(SaveIndexImage(*idx, path));
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(ReadFile(path, &bytes));
-  bytes.resize(bytes.size() * 2 / 3);
-  ASSERT_TRUE(WriteFile(path, bytes));
-  EXPECT_EQ(LoadIndexImage(path, Cfg(2)), nullptr);
   std::remove(path.c_str());
 }
 

@@ -536,24 +536,17 @@ TEST(RoutedEngine, OverflowPressureObservability) {
   EXPECT_EQ(total, 120u);
   EXPECT_EQ(engine.subscription_count(), 120u);
 
-  // MatchBatch stamps the overflow gauge on the overflow shard's entry
-  // only, alongside the routing snapshot version and epoch it ran under.
+  // MatchBatch's last per-shard entry is the overflow shard's: its
+  // resident gauge is the straddler pressure, stamped alongside the
+  // routing snapshot version and epoch the batch ran under.
   std::vector<Event> events = MakeEvents(rng, 8, {0.5f});
   MatchBatchResult res;
   engine.MatchBatch(Span<const Event>(events.data(), events.size()), &res);
+  ASSERT_TRUE(engine.range_routed());
   ASSERT_EQ(res.per_shard.size(), 3u);
-  EXPECT_EQ(res.per_shard[2].overflow_subscriptions, straddlers);
-  EXPECT_EQ(res.per_shard[0].overflow_subscriptions, 0u);
-  EXPECT_EQ(res.per_shard[1].overflow_subscriptions, 0u);
+  EXPECT_EQ(res.per_shard.back().resident_subscriptions, straddlers);
   EXPECT_EQ(res.routing_version, engine.routing_version());
   EXPECT_GT(res.epoch, 0u);
-
-  EXPECT_EQ(res.overflow_shard, 2u);
-
-  // A hash-sharded engine has no overflow shard: explicitly absent.
-  SubscriptionEngine broadcast(UnitSchema(), Opts(3, 0));
-  broadcast.MatchBatch(Span<const Event>(events.data(), events.size()), &res);
-  EXPECT_EQ(res.overflow_shard, MatchBatchResult::kNoOverflowShard);
 }
 
 }  // namespace

@@ -51,7 +51,6 @@
 
 #include "durability/checkpoint.h"
 #include "durability/segment.h"
-#include "durability/shipping.h"
 #include "durability/wal.h"
 #include "kernels/backend_registry.h"
 #include "obs/alloc_hook.h"
@@ -781,160 +780,6 @@ DurableRecoveryProbe RunDurableRecovery(const std::string& wal_path,
   return p;
 }
 
-// ---- Replication / failover scenario ----
-
-struct ReplicationResult {
-  size_t acked = 0;
-  double ingest_wall_ms = 0.0;
-  uint64_t ship_passes = 0;
-  uint64_t max_lag_records = 0;  ///< worst sampled cursor lag during ingest
-  uint64_t records_applied = 0;
-  uint64_t bytes_shipped = 0;
-  uint64_t segments_mirrored = 0;
-  uint64_t mirror_segments_unlinked = 0;
-  uint64_t checkpoint_catchups = 0;
-  double promote_wall_ms = 0.0;
-  size_t promoted_count = 0;
-  uint64_t primary_digest = 0;
-  uint64_t promoted_digest = 0;
-  bool promoted_accepts = false;
-};
-
-uint64_t EngineMatchDigest(SubscriptionEngine* engine,
-                           const std::vector<Event>& events) {
-  MatchBatchResult res;
-  engine->MatchBatch(Span<const Event>(events.data(), events.size()), &res);
-  uint64_t digest = kFnvOffsetBasis;
-  size_t event_index = 0;
-  for (const auto& m : res.matches) {
-    digest = Fnv1a(digest, event_index++);
-    for (const ObjectId id : m) digest = Fnv1a(digest, id);
-  }
-  return digest;
-}
-
-/// A primary ingests `boxes` from `threads` subscriber threads while the
-/// main thread runs a LogShipper against the primary's files, sampling the
-/// replication cursor's lag and checkpointing periodically (so the mirror
-/// GC and truncation-vs-cursor races run live). The primary then shuts
-/// down cleanly and the follower is promoted; the gate in main() requires
-/// the promoted engine to hold every acknowledged record and produce the
-/// primary's exact match digest.
-ReplicationResult RunReplicationScenario(size_t threads,
-                                         const std::vector<Box>& boxes,
-                                         const std::vector<Event>& probes) {
-  const std::string wal = "bench_repl.wal";
-  const std::string ckpt = "bench_repl.ck";
-  const std::string replica_wal = "bench_repl.rwal";
-  const std::string replica_ckpt = "bench_repl.rck";
-  durability::RemoveWalFiles(wal);
-  std::remove(ckpt.c_str());
-
-  const auto make_opts = [] {
-    EngineOptions o;
-    o.index.reorg_period = 100;
-    o.shards = 8;
-    o.match_threads = 0;
-    return o;
-  };
-  const auto make_schema = [] {
-    AttributeSchema s;
-    for (Dim d = 0; d < kNd; ++d) {
-      s.AddAttribute("a" + std::to_string(d), 0.0, 1.0);
-    }
-    return s;
-  };
-  DurabilityOptions dopts;
-  dopts.checkpoint_every_mutations = 0;  // the ship loop checkpoints
-  dopts.wal_segment_bytes = 64 << 10;    // real rotations at bench scale
-
-  durability::LogShipper::Options sopts;
-  sopts.source_wal_base = wal;
-  sopts.source_checkpoint_path = ckpt;
-  sopts.replica_wal_base = replica_wal;
-  sopts.replica_checkpoint_path = replica_ckpt;
-
-  ReplicationResult r;
-  std::unique_ptr<durability::LogShipper> shipper;
-  {
-    durability::DurableEngine primary;
-    Status st;
-    if (!durability::OpenDurable(make_schema(), make_opts(), dopts, wal,
-                                 ckpt, nullptr, &primary, &st)) {
-      std::fprintf(stderr, "replication: OpenDurable failed: %s\n",
-                   st.message().c_str());
-      std::exit(1);
-    }
-    shipper = durability::LogShipper::Create(make_schema(), make_opts(),
-                                             sopts, &st);
-    if (shipper == nullptr) {
-      std::fprintf(stderr, "replication: shipper create failed: %s\n",
-                   st.message().c_str());
-      std::exit(1);
-    }
-
-    std::atomic<size_t> acked{0};
-    std::atomic<size_t> finished{0};
-    WallTimer wall;
-    std::vector<std::thread> workers;
-    for (size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        size_t ok = 0;
-        for (size_t i = t; i < boxes.size(); i += threads) {
-          if (primary.engine->SubscribeBox(boxes[i]) != kInvalidObject) ++ok;
-        }
-        acked.fetch_add(ok, std::memory_order_relaxed);
-        finished.fetch_add(1, std::memory_order_release);
-      });
-    }
-    size_t pass = 0;
-    while (finished.load(std::memory_order_acquire) < threads) {
-      (void)shipper->ShipOnce();
-      const ReplicationStats rs = shipper->stats();
-      const Lsn durable = primary.wal->durable_lsn();
-      if (durable > rs.cursor_lsn) {
-        r.max_lag_records =
-            std::max(r.max_lag_records, durable - rs.cursor_lsn);
-      }
-      if (++pass % 8 == 0) primary.checkpointer->CheckpointNow();
-    }
-    for (auto& w : workers) w.join();
-    r.ingest_wall_ms = wall.ElapsedMs();
-    r.acked = acked.load();
-    r.primary_digest = EngineMatchDigest(primary.engine.get(), probes);
-  }  // clean primary shutdown; the replica takes over from the files
-
-  {
-    WallTimer promote_timer;
-    durability::DurableEngine promoted;
-    const Status st = shipper->Promote(dopts, &promoted);
-    if (!st.ok()) {
-      std::fprintf(stderr, "replication: promote failed: %s\n",
-                   st.message().c_str());
-      std::exit(1);
-    }
-    r.promote_wall_ms = promote_timer.ElapsedMs();
-    r.promoted_count = promoted.engine->subscription_count();
-    r.promoted_digest = EngineMatchDigest(promoted.engine.get(), probes);
-    r.promoted_accepts =
-        promoted.engine->SubscribeBox(boxes.front()) != kInvalidObject;
-  }
-
-  const ReplicationStats rs = shipper->stats();
-  r.ship_passes = rs.ship_passes;
-  r.records_applied = rs.records_applied;
-  r.bytes_shipped = rs.bytes_shipped;
-  r.segments_mirrored = rs.segments_mirrored;
-  r.mirror_segments_unlinked = rs.mirror_segments_unlinked;
-  r.checkpoint_catchups = rs.checkpoint_catchups;
-
-  durability::RemoveWalFiles(wal);
-  durability::RemoveWalFiles(replica_wal);
-  std::remove(ckpt.c_str());
-  std::remove(replica_ckpt.c_str());
-  return r;
-}
-
 // ---- Observability-overhead scenario ----
 //
 // Prices the flight recorder's two states against the same workload:
@@ -1284,48 +1129,6 @@ int main() {
     return 1;
   }
 
-  // ---- Replication / failover scenario ----
-  const size_t rp_subs = EnvSize("ACCL_PARSDI_REPL_SUBS", du_subs);
-  const size_t rp_threads = EnvSize("ACCL_PARSDI_REPL_THREADS", 4);
-  std::vector<Box> rp_boxes;
-  {
-    Rng rng(5252);
-    rp_boxes.reserve(rp_subs);
-    for (size_t i = 0; i < rp_subs; ++i) {
-      rp_boxes.push_back(RandomSubscription(rng));
-    }
-  }
-  const std::vector<Event> rp_probes = MakeEvents(5253, 512);
-  const ReplicationResult rp =
-      RunReplicationScenario(rp_threads, rp_boxes, rp_probes);
-  std::printf(
-      "\nreplication: %zu subscriptions, %zu subscriber threads, shipper "
-      "on main\n",
-      rp_subs, rp_threads);
-  std::printf("%12s %8s %9s %12s %9s %9s %12s\n", "ingest ms", "passes",
-              "max lag", "shipped KiB", "mirrored", "catchups", "promote ms");
-  std::printf(
-      "%12.1f %8llu %9llu %12.1f %9llu %9llu %12.1f\n", rp.ingest_wall_ms,
-      static_cast<unsigned long long>(rp.ship_passes),
-      static_cast<unsigned long long>(rp.max_lag_records),
-      static_cast<double>(rp.bytes_shipped) / 1024.0,
-      static_cast<unsigned long long>(rp.segments_mirrored),
-      static_cast<unsigned long long>(rp.checkpoint_catchups),
-      rp.promote_wall_ms);
-  // Failover loss gate: the promoted follower must hold every acknowledged
-  // record (count AND exact match digest) and must accept new writes.
-  if (rp.acked != rp_subs || rp.promoted_count != rp.acked ||
-      rp.promoted_digest != rp.primary_digest || !rp.promoted_accepts) {
-    std::fprintf(stderr,
-                 "REPLICATION LOSS: acked %zu/%zu, promoted holds %zu, "
-                 "digest %016llx vs primary %016llx, accepts=%d\n",
-                 rp.acked, rp_subs, rp.promoted_count,
-                 static_cast<unsigned long long>(rp.promoted_digest),
-                 static_cast<unsigned long long>(rp.primary_digest),
-                 rp.promoted_accepts ? 1 : 0);
-    return 1;
-  }
-
   // ---- Observability-overhead scenario ----
   const size_t ob_subs = EnvSize("ACCL_PARSDI_OBS_SUBS", 10000);
   const size_t ob_events = EnvSize("ACCL_PARSDI_OBS_EVENTS", 2048);
@@ -1539,33 +1342,6 @@ int main() {
       du_speedup, du_rec.wall_ms, du_rec.replay_ms, du_rec.recovered,
       static_cast<unsigned long long>(du_rec.replayed_records),
       1000.0 * static_cast<double>(du_rec.recovered) / du_rec.wall_ms);
-  std::fprintf(
-      f,
-      "  \"replication\": {\n"
-      "    \"subscriptions\": %zu,\n    \"subscriber_threads\": %zu,\n"
-      "    \"acked\": %zu,\n    \"ingest_wall_ms\": %.3f,\n"
-      "    \"ship_passes\": %llu,\n    \"max_lag_records\": %llu,\n"
-      "    \"records_applied\": %llu,\n    \"bytes_shipped\": %llu,\n"
-      "    \"segments_mirrored\": %llu,\n"
-      "    \"mirror_segments_unlinked\": %llu,\n"
-      "    \"checkpoint_catchups\": %llu,\n"
-      "    \"promote_wall_ms\": %.3f,\n"
-      "    \"promoted_subscriptions\": %zu,\n"
-      "    \"acked_records_lost\": %llu,\n"
-      "    \"match_digest_equal\": %s,\n"
-      "    \"promoted_accepts_writes\": %s\n  },\n",
-      rp_subs, rp_threads, rp.acked, rp.ingest_wall_ms,
-      static_cast<unsigned long long>(rp.ship_passes),
-      static_cast<unsigned long long>(rp.max_lag_records),
-      static_cast<unsigned long long>(rp.records_applied),
-      static_cast<unsigned long long>(rp.bytes_shipped),
-      static_cast<unsigned long long>(rp.segments_mirrored),
-      static_cast<unsigned long long>(rp.mirror_segments_unlinked),
-      static_cast<unsigned long long>(rp.checkpoint_catchups),
-      rp.promote_wall_ms, rp.promoted_count,
-      static_cast<unsigned long long>(rp.acked - rp.promoted_count),
-      rp.promoted_digest == rp.primary_digest ? "true" : "false",
-      rp.promoted_accepts ? "true" : "false");
   std::fprintf(
       f,
       "  \"observability\": {\n"

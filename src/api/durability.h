@@ -87,26 +87,6 @@ struct CheckpointStats {
   double last_write_ms = 0.0;
 };
 
-/// Log-shipping / warm-standby counters (durability::LogShipper::stats).
-struct ReplicationStats {
-  Lsn cursor_lsn = 0;          ///< highest LSN applied on the follower
-  Lsn source_durable_lsn = 0;  ///< highest LSN seen in the source log at the
-                               ///< last completed ship pass
-  /// Replication lag at the last completed pass:
-  /// source_durable_lsn - cursor_lsn (records the follower still owes).
-  uint64_t lag_records = 0;
-  uint64_t ship_passes = 0;        ///< completed ShipOnce calls
-  uint64_t records_applied = 0;    ///< records replayed into the follower
-  uint64_t bytes_shipped = 0;      ///< frame bytes copied into the mirror
-  uint64_t segments_mirrored = 0;  ///< mirror segment files created
-  uint64_t mirror_segments_unlinked = 0;  ///< mirror GC following the source
-  /// Ship passes that re-based the follower from the source's checkpoint
-  /// because the log records behind the cursor were already truncated away.
-  uint64_t checkpoint_catchups = 0;
-  uint64_t ship_errors = 0;  ///< failed ShipOnce calls (I/O; retryable)
-  bool promoted = false;
-};
-
 /// What SubscriptionEngine::Recover did (diagnostics + tests).
 struct RecoveryStats {
   bool checkpoint_loaded = false;

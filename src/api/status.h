@@ -21,8 +21,7 @@ enum class StatusCode : uint8_t {
   kOk = 0,
   kInvalidArgument,
   /// The call was well-formed but arrived in a state that forbids it
-  /// (e.g. truncating the WAL past its applied low-water, promoting an
-  /// already-promoted replica).
+  /// (e.g. truncating the WAL past its applied low-water).
   kFailedPrecondition,
   /// An I/O operation failed (real or injected); the durable state is
   /// unchanged unless the message says otherwise, and a retry may succeed

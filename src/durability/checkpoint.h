@@ -170,13 +170,6 @@ struct DurableEngine {
   void Teardown();
 };
 
-/// Opens `path` as a page file, creating it (kDurablePageBytes pages) only
-/// when it does not exist.
-/// An existing file that fails Open's validation returns nullptr — it may
-/// hold the only copy of durable state, and PagedFile::Create truncates, so
-/// "corrupt" must surface as an error, never as a silently fresh file.
-std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path);
-
 /// Opens (or creates) the WAL segment chain rooted at `wal_path` (the
 /// base of the `<wal_path>.<seq:08>` files) and the checkpoint file,
 /// recovers the engine from them, and wires the mutation hooks and the

@@ -13,10 +13,6 @@
 //   - An unsubscribe of an unknown id is a no-op — either its subscribe was
 //     also past the image scan (both replay, in LSN order), or the capture
 //     already saw the removal.
-//
-// The same rules make ApplyReplicated safe as the follower's apply path
-// (durability/shipping.h): a ship pass that re-reads frames it already
-// applied, or that follows a checkpoint catch-up, changes nothing.
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -30,8 +26,8 @@
 
 namespace accl {
 
-void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
-                                         RecoveryStats* rs) {
+void SubscriptionEngine::ApplyLogRecord(const durability::WalRecord& rec,
+                                        RecoveryStats* rs) {
   ++rs->wal_records_scanned;
   switch (rec.type) {
     case durability::WalRecordType::kSubscribe: {
@@ -80,15 +76,13 @@ void SubscriptionEngine::ApplyReplicated(const durability::WalRecord& rec,
 
 std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
     AttributeSchema schema, EngineOptions options,
-    durability::CheckpointStore* checkpoints, durability::WriteAheadLog* wal,
+    durability::CheckpointStore& checkpoints, durability::WriteAheadLog& wal,
     Status* status, RecoveryStats* recovery) {
-  RecoveryStats local_stats;
-  RecoveryStats& rs = recovery != nullptr ? *recovery : local_stats;
+  RecoveryStats& rs = *recovery;
   rs = RecoveryStats();
 
   durability::EngineImage image;
-  const bool have_image =
-      checkpoints != nullptr && checkpoints->Read(&image);
+  const bool have_image = checkpoints.Read(&image);
   if (have_image) {
     if (image.nd != schema.dims()) {
       if (status != nullptr) {
@@ -123,25 +117,23 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
     if (image.next_id > engine->next_id_) engine->next_id_ = image.next_id;
   }
 
-  if (wal != nullptr) {
-    // LSNs allocated after recovery must sort after everything the
-    // checkpoint covers, even when the log was fully truncated (empty
-    // scan): the log cannot know the checkpoint's LSN, so tell it.
-    wal->ReserveLsnsThrough(image.lsn);
-    SubscriptionEngine* e = engine.get();
-    const bool replay_ok =
-        wal->Replay(image.lsn, [&](const durability::WalRecord& rec) {
-          e->ApplyReplicated(rec, &rs);
-        });
-    if (!replay_ok) {
-      // A read I/O failure mid-scan: the prefix replayed so far may be
-      // missing acknowledged records. Refusing is the only honest answer.
-      if (status != nullptr) {
-        *status = Status::InvalidArgument(
-            "WAL replay hit a read I/O error; recovery is incomplete");
-      }
-      return nullptr;
+  // LSNs allocated after recovery must sort after everything the
+  // checkpoint covers, even when the log was fully truncated (empty scan):
+  // the log cannot know the checkpoint's LSN, so tell it.
+  wal.ReserveLsnsThrough(image.lsn);
+  SubscriptionEngine* e = engine.get();
+  const bool replay_ok =
+      wal.Replay(image.lsn, [&](const durability::WalRecord& rec) {
+        e->ApplyLogRecord(rec, &rs);
+      });
+  if (!replay_ok) {
+    // A read I/O failure mid-scan: the prefix replayed so far may be
+    // missing acknowledged records. Refusing is the only honest answer.
+    if (status != nullptr) {
+      *status = Status::InvalidArgument(
+          "WAL replay hit a read I/O error; recovery is incomplete");
     }
+    return nullptr;
   }
   rs.replay_ms = timer.ElapsedMs();
   if (status != nullptr) *status = Status::Ok();
@@ -149,7 +141,13 @@ std::unique_ptr<SubscriptionEngine> SubscriptionEngine::Recover(
 }
 
 namespace durability {
+namespace {
 
+/// Opens `path` as a page file, creating it (kDurablePageBytes pages) only
+/// when it does not exist. An existing file that fails Open's validation
+/// returns nullptr — it may hold the only copy of durable state, and
+/// PagedFile::Create truncates, so "corrupt" must surface as an error,
+/// never as a silently fresh file.
 std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {
@@ -157,6 +155,8 @@ std::unique_ptr<PagedFile> OpenOrCreatePagedFile(const std::string& path) {
   }
   return PagedFile::Open(path);
 }
+
+}  // namespace
 
 bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
                  const DurabilityOptions& durability_options,
@@ -191,8 +191,8 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
   out->checkpoints = CheckpointStore::Open(std::move(ckpt_file), disk);
 
   out->engine = SubscriptionEngine::Recover(
-      std::move(schema), std::move(engine_options), out->checkpoints.get(),
-      out->wal.get(), status, &out->recovery);
+      std::move(schema), std::move(engine_options), *out->checkpoints,
+      *out->wal, status, &out->recovery);
   if (out->engine == nullptr) return false;
 
   out->engine->AttachDurability(out->wal.get());

@@ -147,7 +147,7 @@ std::unique_ptr<WalSegment> WalSegment::Create(const std::string& path,
     return nullptr;  // the torn file is GC'd at the next open
   }
   return std::unique_ptr<WalSegment>(
-      new WalSegment(path, std::move(file), seq, base_lsn));
+      new WalSegment(path, std::move(file), seq));
 }
 
 std::unique_ptr<WalSegment> WalSegment::Recycle(const std::string& path,
@@ -160,7 +160,7 @@ std::unique_ptr<WalSegment> WalSegment::Recycle(const std::string& path,
   // costs one small write instead of a truncate + regrow.
   if (!WritePreamble(file.get(), seq, base_lsn, disk)) return nullptr;
   return std::unique_ptr<WalSegment>(
-      new WalSegment(path, std::move(file), seq, base_lsn));
+      new WalSegment(path, std::move(file), seq));
 }
 
 std::unique_ptr<WalSegment> WalSegment::Open(const std::string& path) {
@@ -171,16 +171,14 @@ std::unique_ptr<WalSegment> WalSegment::Open(const std::string& path) {
   if (!file->StreamRead(0, pre, kSegmentPreambleBytes)) return nullptr;
   uint32_t magic = 0, version = 0;
   uint64_t seq = 0;
-  Lsn base_lsn = kNoLsn;
   std::memcpy(&magic, pre, 4);
   std::memcpy(&version, pre + 4, 4);
   std::memcpy(&seq, pre + 8, 8);
-  std::memcpy(&base_lsn, pre + 16, 8);
   if (magic != kSegmentMagic || version != kSegmentVersion || seq == 0) {
     return nullptr;
   }
   return std::unique_ptr<WalSegment>(
-      new WalSegment(path, std::move(file), seq, base_lsn));
+      new WalSegment(path, std::move(file), seq));
 }
 
 bool WalSegment::DecodeFrameAt(uint64_t off, WalRecord* out, uint64_t* next,

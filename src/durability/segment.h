@@ -126,16 +126,12 @@ class WalSegment {
   static std::unique_ptr<WalSegment> Open(const std::string& path);
 
   uint64_t seq() const { return seq_; }
-  Lsn base_lsn() const { return base_lsn_; }
   const std::string& path() const { return path_; }
   /// Bytes the file claims to back; the decode limit.
   uint64_t payload_limit() const { return file_->payload_bytes(); }
 
   bool Write(uint64_t off, const void* data, uint64_t len) {
     return file_->StreamWrite(off, data, len);
-  }
-  bool Read(uint64_t off, void* out, uint64_t len) {
-    return file_->StreamRead(off, out, len);
   }
   bool Sync() { return file_->Sync(); }
 
@@ -149,17 +145,12 @@ class WalSegment {
                      bool* io_error);
 
  private:
-  WalSegment(std::string path, std::unique_ptr<PagedFile> file, uint64_t seq,
-             Lsn base_lsn)
-      : path_(std::move(path)),
-        file_(std::move(file)),
-        seq_(seq),
-        base_lsn_(base_lsn) {}
+  WalSegment(std::string path, std::unique_ptr<PagedFile> file, uint64_t seq)
+      : path_(std::move(path)), file_(std::move(file)), seq_(seq) {}
 
   std::string path_;
   std::unique_ptr<PagedFile> file_;
   uint64_t seq_ = 0;
-  Lsn base_lsn_ = kNoLsn;
 };
 
 }  // namespace accl::durability

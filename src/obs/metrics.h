@@ -19,8 +19,8 @@
 //     p50 <= p90 <= p99 <= max always holds.
 //   - MetricsRegistry: name -> metric. Metrics are either registry-owned
 //     (GetCounter/GetGauge/GetHistogram create on first use) or
-//     externally owned and Attach()ed — components (WAL, epoch manager,
-//     log shipper) own their metrics as plain members and attach them to
+//     externally owned and Attach()ed — components (WAL, checkpointer,
+//     epoch manager) own their metrics as plain members and attach them to
 //     an engine's registry when wired in, so the component works
 //     standalone and the engine's DumpMetrics() sees everything.
 //     Attached metrics must outlive the registry or be Detach()ed.

@@ -135,8 +135,8 @@ struct SubscriptionEngine::PipelineScratch {
 // Registry-owned handles for the engine's own metrics. Everything here is
 // created on (and owned by) the engine's MetricsRegistry, so the handles
 // are plain pointers with the registry's lifetime; components the engine
-// merely wires in (WAL, checkpointer, epoch manager, log shipper) own
-// their metrics themselves and Attach() them instead.
+// merely wires in (WAL, checkpointer, epoch manager) own their metrics
+// themselves and Attach() them instead.
 struct SubscriptionEngine::EngineObs {
   explicit EngineObs(obs::MetricsRegistry* r)
       : batches(r->GetCounter("accl_pipeline_batches_total",
@@ -400,9 +400,6 @@ void SubscriptionEngine::SubscribeBatch(Span<const Box> boxes,
   const size_t n = boxes.size();
   out->clear();
   if (n == 0) return;
-  // A follower's ids come only from the replicated log; refusing before
-  // the allocation keeps the local allocator exactly at the log's heels.
-  if (role() == EngineRole::kFollower) return;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
   std::vector<float> coords(n * stride);
   for (size_t i = 0; i < n; ++i) {
@@ -517,7 +514,6 @@ void SubscriptionEngine::InsertSubscriptions(Span<const SubscriptionId> ids,
 }
 
 bool SubscriptionEngine::Unsubscribe(SubscriptionId id) {
-  if (role() == EngineRole::kFollower) return false;  // read-only
   if (wal_ == nullptr) return ApplyUnsubscribe(id);
   {
     // Don't log mutations that are no-ops from this caller's view. The
@@ -632,7 +628,7 @@ void SubscriptionEngine::RefreshGaugesForDump() const {
 std::string SubscriptionEngine::DumpMetrics() const {
   RefreshGaugesForDump();
   // The engine registry holds everything wired through this engine (its
-  // own families plus attached WAL/checkpoint/epoch/replication metrics);
+  // own families plus attached WAL/checkpoint/epoch metrics);
   // the process-default registry holds per-backend kernel dispatch
   // counters shared by every engine in the binary.
   return metrics_->PrometheusText() +

@@ -234,11 +234,11 @@ class SubscriptionEngine {
 
   /// Registers boxes.size() subscriptions in one call; ids are assigned
   /// contiguously in box order and returned in `*out` (its previous
-  /// contents are discarded; empty when the engine is a follower or the
-  /// log refused the record). Observably identical to calling SubscribeBox
-  /// in a loop, but the batch is one WAL record and is grouped per target
-  /// shard, so each shard lock (and the id-allocation lock) is taken once
-  /// instead of once per subscription. SubscribeBox is a batch of one.
+  /// contents are discarded; empty when the log refused the record).
+  /// Observably identical to calling SubscribeBox in a loop, but the batch
+  /// is one WAL record and is grouped per target shard, so each shard lock
+  /// (and the id-allocation lock) is taken once instead of once per
+  /// subscription. SubscribeBox is a batch of one.
   void SubscribeBatch(Span<const Box> boxes,
                       std::vector<SubscriptionId>* out);
 
@@ -404,14 +404,14 @@ class SubscriptionEngine {
   // ---- Observability (src/obs/) ----
 
   /// The engine-scoped metrics registry. Every instrumented component
-  /// wired into this engine (epoch manager, WAL, checkpointer, log
-  /// shipper) registers its metrics here under the accl_* naming scheme;
+  /// wired into this engine (epoch manager, WAL, checkpointer) registers
+  /// its metrics here under the accl_* naming scheme;
   /// the engine's own pipeline/rebalance/adaptive counters are
   /// registry-owned. This is the engine's only statistics plane: callers
   /// wanting per-phase figures diff two Snapshot()s with DeltaSince.
-  /// Components attach on wiring (AttachDurability / SetCheckpointer /
-  /// LogShipper::Create), so a volatile engine's registry simply has no
-  /// accl_wal_*/accl_ckpt_*/accl_repl_* entries.
+  /// Components attach on wiring (AttachDurability / SetCheckpointer), so
+  /// a volatile engine's registry simply has no accl_wal_*/accl_ckpt_*
+  /// entries.
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Prometheus text exposition of the engine registry plus the
@@ -467,42 +467,20 @@ class SubscriptionEngine {
   /// (each id is captured exactly once).
   void CaptureDurableImage(durability::EngineImage* out) const;
 
-  /// Crash recovery factory: loads the newest valid checkpoint from
-  /// `checkpoints` (null/absent/corrupt degrades to an empty image),
-  /// rebuilds the shards through the one grouped insert path, then
-  /// replays `wal`'s surviving tail idempotently — records at or below
-  /// the checkpoint LSN are gone (truncated) or skipped, and a subscribe
-  /// whose id is already live (a fuzzy checkpoint captured an effect past
-  /// its own LSN) is deduplicated by id. Returns nullptr with `*status`
-  /// filled on invalid configuration or a checkpoint/schema dimensionality
-  /// mismatch. The recovered engine is not yet attached to the WAL; see
-  /// durability::OpenDurable for the fully wired path.
+  /// Crash recovery factory (durability::OpenDurable is the caller):
+  /// loads the newest valid checkpoint from `checkpoints` (absent/corrupt
+  /// degrades to an empty image), rebuilds the shards through the one
+  /// grouped insert path, then replays `wal`'s surviving tail
+  /// idempotently — records at or below the checkpoint LSN are gone
+  /// (truncated) or skipped, and a subscribe whose id is already live (a
+  /// fuzzy checkpoint captured an effect past its own LSN) is
+  /// deduplicated by id. Returns nullptr with `*status` filled on invalid
+  /// configuration, a checkpoint/schema dimensionality mismatch or a WAL
+  /// read failure. The recovered engine is not yet attached to the WAL.
   static std::unique_ptr<SubscriptionEngine> Recover(
       AttributeSchema schema, EngineOptions options,
-      durability::CheckpointStore* checkpoints, durability::WriteAheadLog* wal,
-      Status* status = nullptr, RecoveryStats* recovery = nullptr);
-
-  // ---- Replication (durability/shipping.h) ----
-
-  /// A follower serves read-only traffic (Match/MatchBatch) while a log
-  /// shipper replays the primary's records into it; every local mutation
-  /// entry point refuses before allocating an id, so follower ids can only
-  /// ever come from the replicated log. Promotion flips the role back —
-  /// the engine object is reused warm, nothing is rebuilt.
-  enum class EngineRole : uint8_t { kPrimary, kFollower };
-
-  EngineRole role() const { return role_.load(std::memory_order_acquire); }
-  void SetRole(EngineRole role) {
-    role_.store(role, std::memory_order_release);
-  }
-
-  /// Applies one replicated (or replayed) WAL record with the same
-  /// idempotence rules Recover uses: subscribes deduplicate by live id,
-  /// unknown unsubscribes are no-ops, and the id allocator is bumped past
-  /// every id the record names. This is the follower's apply path (the log
-  /// shipper calls it in LSN order) and the body of recovery's replay.
-  /// `rs` (not null) accumulates scanned/applied/skipped counts.
-  void ApplyReplicated(const durability::WalRecord& rec, RecoveryStats* rs);
+      durability::CheckpointStore& checkpoints, durability::WriteAheadLog& wal,
+      Status* status, RecoveryStats* recovery);
 
  private:
   struct Shard {
@@ -584,7 +562,7 @@ class SubscriptionEngine {
   void ReleaseScratch(std::unique_ptr<PipelineScratch> s);
 
   /// The one insert path, behind SubscribeBatch (and so SubscribeBox),
-  /// Recover's image restore and ApplyReplicated: routes every
+  /// Recover's image restore and ApplyLogRecord: routes every
   /// (ids[i], box i) pair — `coords` holds ids.size()*2*nd floats — under
   /// the rebalance lock and the current snapshot, lands each shard's group
   /// with one BulkInsert (placement identical to Insert in input order),
@@ -596,6 +574,11 @@ class SubscriptionEngine {
   /// Non-durable unsubscribe body (Unsubscribe after its WAL round trip,
   /// and replay).
   bool ApplyUnsubscribe(SubscriptionId id);
+  /// Recovery's replay step: applies one WAL record idempotently —
+  /// subscribes deduplicate by live id, unknown unsubscribes are no-ops,
+  /// and the id allocator is bumped past every id the record names. `rs`
+  /// accumulates scanned/applied/skipped counts.
+  void ApplyLogRecord(const durability::WalRecord& rec, RecoveryStats* rs);
   void NotifyCheckpointer(uint64_t mutations);
 
   /// Double-residency migration: scans every shard for residents `plan`
@@ -636,9 +619,6 @@ class SubscriptionEngine {
   /// AttachDurability/SetCheckpointer, read by the mutation entry points.
   durability::WriteAheadLog* wal_ = nullptr;
   durability::Checkpointer* checkpointer_ = nullptr;
-  /// Replication role; mutation entry points refuse on a follower before
-  /// allocating an id. Atomic so Promote's flip needs no mutation lock.
-  std::atomic<EngineRole> role_{EngineRole::kPrimary};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<exec::ThreadPool> pool_;  ///< null when match_threads <= 1
 

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 namespace accl {
@@ -64,11 +63,5 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
-
-/// Reads a whole file into `out`. Returns false on I/O failure.
-bool ReadFile(const std::string& path, std::vector<uint8_t>* out);
-
-/// Writes `bytes` to `path`, truncating. Returns false on I/O failure.
-bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes);
 
 }  // namespace accl

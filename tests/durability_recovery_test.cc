@@ -9,7 +9,9 @@
 // digest-equal to a brute-force oracle over exactly the mutations the
 // crashed run acknowledged. The un-acknowledged tail may be absent (it is,
 // by construction: a failed flush never wrote the record), but never
-// corrupt and never resurrected.
+// corrupt and never resurrected. The engine serving after each crash must
+// then accept a new durable subscription under a fresh id, and a second
+// recovery must still hold it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -152,6 +154,26 @@ void ExpectRecoveredParity(const Paths& paths,
   }
 }
 
+/// Recovers from the files and subscribes one full-domain box durably: its
+/// id must be valid and past every acknowledged id. Records it in `acked`
+/// so the next ExpectRecoveredParity checks that it survived.
+void SubscribeAfterRecovery(const Paths& paths,
+                            std::map<SubscriptionId, Box>* acked,
+                            const std::string& context) {
+  durability::DurableEngine de;
+  Status st;
+  ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+                                      paths.wal, paths.ckpt,
+                                      /*disk=*/nullptr, &de, &st))
+      << context << ": " << st.message();
+  const SubscriptionId fresh = de.engine->SubscribeBox(Box::FullDomain(kNd));
+  ASSERT_NE(fresh, kInvalidObject) << context;
+  if (!acked->empty()) {
+    ASSERT_GT(fresh, acked->rbegin()->first) << context;
+  }
+  (*acked)[fresh] = Box::FullDomain(kNd);
+}
+
 TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
   const Paths paths("clean");
   paths.Remove();
@@ -225,6 +247,8 @@ TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {
       EXPECT_EQ(disk.faults_injected(), 0u);
     }
     ExpectRecoveredParity(paths, acked, "dry run");
+    SubscribeAfterRecovery(paths, &acked, "dry run");
+    ExpectRecoveredParity(paths, acked, "dry run, after a new write");
     paths.Remove();
   }
   ASSERT_GT(total_ops, 30u);  // flushes + checkpoints + truncations
@@ -243,8 +267,10 @@ TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {
       DriveScript(de, &acked);
       EXPECT_GT(disk.faults_injected(), 0u) << "crash point " << k;
     }  // "crash": tear everything down with the fault still armed
-    ExpectRecoveredParity(paths, acked,
-                          "crash point " + std::to_string(k));
+    const std::string context = "crash point " + std::to_string(k);
+    ExpectRecoveredParity(paths, acked, context);
+    SubscribeAfterRecovery(paths, &acked, context);
+    ExpectRecoveredParity(paths, acked, context + ", after a new write");
     paths.Remove();
   }
 }

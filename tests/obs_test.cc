@@ -9,9 +9,8 @@
 //   - Prometheus exposition / JSON dump structure.
 //   - Metric-family coverage: a durable adaptive kRange engine's
 //     DumpMetrics() must expose the pipeline, WAL, checkpoint, epoch,
-//     adaptive-routing and rebalance families; a LogShipper follower adds
-//     the replication family. This is the acceptance gate that keeps
-//     instrumentation attached as the engine grows.
+//     adaptive-routing and rebalance families. This is the acceptance gate
+//     that keeps instrumentation attached as the engine grows.
 //   - Flight-recorder end-to-end: a traced 256-event MatchBatch yields
 //     per-stage spans recorded across more than one worker thread.
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "durability/checkpoint.h"
-#include "durability/shipping.h"
 #include "durability/wal.h"
 #include "obs/alloc_hook.h"
 #include "obs/metrics.h"
@@ -494,64 +492,6 @@ TEST(ObsEngineCoverage, SingleEventMatchFeedsThePipelineCounters) {
   EXPECT_NE(engine.DumpMetrics().find("accl_pipeline_events_total " +
                                       std::to_string(kCalls)),
             std::string::npos);
-}
-
-TEST(ObsEngineCoverage, FollowerExposesReplicationFamily) {
-  const std::string wal_path = TempPath("obs_repl.wal");
-  const std::string ckpt_path = TempPath("obs_repl.ck");
-  const std::string rwal_path = TempPath("obs_repl.rwal");
-  const std::string rckpt_path = TempPath("obs_repl.rck");
-  durability::RemoveWalFiles(wal_path);
-  durability::RemoveWalFiles(rwal_path);
-  std::remove(ckpt_path.c_str());
-  std::remove(rckpt_path.c_str());
-
-  DurabilityOptions dopts;
-  dopts.group_commit = true;
-  dopts.checkpoint_every_mutations = 0;
-  dopts.background_checkpoints = false;
-  durability::DurableEngine primary;
-  ASSERT_TRUE(durability::OpenDurable(UnitSchema(), RangeOpts(0), dopts,
-                                      wal_path, ckpt_path, nullptr, &primary,
-                                      nullptr));
-  Rng rng(7);
-  for (int i = 0; i < 32; ++i) {
-    primary.engine->SubscribeBox(testutil::RandomBox(rng, kNd, 0.5f));
-  }
-
-  durability::LogShipper::Options sopts;
-  sopts.source_wal_base = wal_path;
-  sopts.source_checkpoint_path = ckpt_path;
-  sopts.replica_wal_base = rwal_path;
-  sopts.replica_checkpoint_path = rckpt_path;
-  std::unique_ptr<durability::LogShipper> shipper =
-      durability::LogShipper::Create(UnitSchema(), RangeOpts(0), sopts,
-                                     nullptr);
-  ASSERT_NE(shipper, nullptr);
-  ASSERT_TRUE(shipper->ShipOnce().ok());
-  EXPECT_EQ(shipper->engine()->subscription_count(), 32u);
-
-  const std::string text = shipper->engine()->DumpMetrics();
-  ExpectFamilies(text,
-                 {"accl_repl_ship_passes_total",
-                  "accl_repl_records_applied_total", "accl_repl_cursor_lsn",
-                  "accl_repl_lag_records", "accl_repl_ship_pass_us"},
-                 "follower");
-  const obs::MetricsSnapshot snap = shipper->engine()->metrics().Snapshot();
-  const obs::MetricValue* passes = snap.Find("accl_repl_ship_passes_total");
-  ASSERT_NE(passes, nullptr);
-  EXPECT_GE(passes->counter, 1u);
-
-  // Destroying the shipper detaches its metrics: the follower engine died
-  // with it here, but the detach path itself must not blow up, and a
-  // fresh scan of the names must find nothing if the registry survived.
-  shipper.reset();
-
-  primary = durability::DurableEngine();
-  durability::RemoveWalFiles(wal_path);
-  durability::RemoveWalFiles(rwal_path);
-  std::remove(ckpt_path.c_str());
-  std::remove(rckpt_path.c_str());
 }
 
 TEST(ObsFlightRecorder, TracedMatchBatchShowsStagesAcrossWorkers) {

@@ -97,7 +97,7 @@ TEST(PagedFile, ReopenPreservesGeometry) {
 
 TEST(PagedFile, OpenRejectsGarbage) {
   const std::string path = TempPath("garbage.pf");
-  ASSERT_TRUE(WriteFile(path, std::vector<uint8_t>(8192, 0xAB)));
+  ASSERT_TRUE(testutil::WriteGarbageFile(path, 8192, 0xAB));
   EXPECT_EQ(PagedFile::Open(path), nullptr);
   std::remove(path.c_str());
 }
@@ -253,7 +253,7 @@ size_t OpenFdCount() {
 
 TEST(PagedFile, RejectedOpensLeakNoDescriptors) {
   const std::string garbage = TempPath("leak_garbage.pf");
-  ASSERT_TRUE(WriteFile(garbage, std::vector<uint8_t>(8192, 0xCD)));
+  ASSERT_TRUE(testutil::WriteGarbageFile(garbage, 8192, 0xCD));
   const std::string truncated = TempPath("leak_trunc.pf");
   {
     auto pf = PagedFile::Create(truncated, 256);

@@ -2,6 +2,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "api/spatial_index.h"
@@ -50,6 +53,17 @@ inline Box RandomBox(Rng& rng, Dim nd, float max_extent = 1.0f) {
     b.set(d, start, std::min(start + len, 1.0f));
   }
   return b;
+}
+
+/// Writes `n` copies of `byte` to `path`, truncating: a file no on-disk
+/// format accepts. Returns false on I/O failure.
+inline bool WriteGarbageFile(const std::string& path, size_t n,
+                             uint8_t byte) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const std::vector<uint8_t> bytes(n, byte);
+  const size_t put = std::fwrite(bytes.data(), 1, n, f);
+  return std::fclose(f) == 0 && put == n;
 }
 
 }  // namespace testutil

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 
 #include "util/rng.h"
@@ -213,30 +212,6 @@ TEST(Serialize, BytesRoundTrip) {
   char buf[sizeof(msg)];
   ASSERT_TRUE(r.GetBytes(buf, sizeof(buf)));
   EXPECT_STREQ(buf, "hello");
-}
-
-TEST(Serialize, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/accl_serialize_test.bin";
-  std::vector<uint8_t> data = {1, 2, 3, 250, 0, 9};
-  ASSERT_TRUE(WriteFile(path, data));
-  std::vector<uint8_t> back;
-  ASSERT_TRUE(ReadFile(path, &back));
-  EXPECT_EQ(back, data);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, ReadMissingFileFails) {
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(ReadFile("/nonexistent/dir/file.bin", &out));
-}
-
-TEST(Serialize, EmptyFileRoundTrip) {
-  const std::string path = testing::TempDir() + "/accl_empty_test.bin";
-  ASSERT_TRUE(WriteFile(path, {}));
-  std::vector<uint8_t> back{9};
-  ASSERT_TRUE(ReadFile(path, &back));
-  EXPECT_TRUE(back.empty());
-  std::remove(path.c_str());
 }
 
 TEST(Timer, ElapsedNonNegativeAndMonotonic) {

@@ -418,7 +418,6 @@ struct UnderRebalanceResult {
   uint64_t final_routing_version = 0;
   uint64_t epoch_synchronizes = 0;
   uint64_t epoch_pins = 0;
-  uint64_t snapshots_reclaimed = 0;
 };
 
 /// Matches the skewed event set `passes` times while a rebalancer thread
@@ -505,7 +504,6 @@ UnderRebalanceResult RunMatchUnderRebalance(size_t threads, size_t subs,
   const exec::EpochManagerStats es = engine.epoch_stats();
   r.epoch_synchronizes = es.synchronizes;
   r.epoch_pins = es.pins;
-  r.snapshots_reclaimed = es.reclaimed;
   return r;
 }
 
@@ -992,16 +990,15 @@ int main() {
   std::printf(
       "\nmatch under rebalance: %zu passes x %zu events, %zu threads\n",
       ur_passes, sk_events, sk_threads);
-  std::printf("%12s %14s %8s %9s %9s %9s %9s\n", "wall ms", "wall ev/s",
-              "moves", "migrated", "snapver", "graceper", "reclaim");
+  std::printf("%12s %14s %8s %9s %9s %9s\n", "wall ms", "wall ev/s",
+              "moves", "migrated", "snapver", "graceper");
   std::printf(
-      "%12.1f %14.0f %8llu %9llu %9llu %9llu %9llu\n", ur.wall_ms,
+      "%12.1f %14.0f %8llu %9llu %9llu %9llu\n", ur.wall_ms,
       1000.0 * static_cast<double>(ur.events_matched) / ur.wall_ms,
       static_cast<unsigned long long>(ur.boundary_moves),
       static_cast<unsigned long long>(ur.migrated),
       static_cast<unsigned long long>(ur.final_routing_version),
-      static_cast<unsigned long long>(ur.epoch_synchronizes),
-      static_cast<unsigned long long>(ur.snapshots_reclaimed));
+      static_cast<unsigned long long>(ur.epoch_synchronizes));
   // Mid-migration exactness gate: the subscription set is fixed, so every
   // pass — rebalances in flight or not — must reproduce the quiesced
   // skewed digest exactly.
@@ -1276,8 +1273,8 @@ int main() {
       "    \"match_digest\": \"%016llx\",\n    \"digests_stable\": %s,\n"
       "    \"boundary_moves\": %llu,\n    \"subscriptions_migrated\": %llu,\n"
       "    \"final_routing_version\": %llu,\n"
-      "    \"epoch_synchronizes\": %llu,\n    \"epoch_pins\": %llu,\n"
-      "    \"snapshots_reclaimed\": %llu\n  },\n",
+      "    \"epoch_synchronizes\": %llu,\n    \"epoch_pins\": %llu\n"
+      "  },\n",
       ur_passes, ur.events_matched, sk_threads, ur.wall_ms,
       1000.0 * static_cast<double>(ur.events_matched) / ur.wall_ms,
       static_cast<unsigned long long>(ur.total_matches),
@@ -1287,8 +1284,7 @@ int main() {
       static_cast<unsigned long long>(ur.migrated),
       static_cast<unsigned long long>(ur.final_routing_version),
       static_cast<unsigned long long>(ur.epoch_synchronizes),
-      static_cast<unsigned long long>(ur.epoch_pins),
-      static_cast<unsigned long long>(ur.snapshots_reclaimed));
+      static_cast<unsigned long long>(ur.epoch_pins));
   std::fprintf(
       f,
       "  \"adaptive_routing\": {\n"

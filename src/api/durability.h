@@ -36,20 +36,11 @@ struct DurabilityOptions {
   /// O(1) unlinks, so the log's on-disk footprint stays bounded.
   uint64_t wal_segment_bytes = 1 << 20;
 
-  /// Truncated segments kept as recycled spares instead of unlinked; a
-  /// rotation reuses a spare (rename + preamble rewrite) before creating a
-  /// fresh file. Recycled bytes are exactly the stale-frame surface the
-  /// per-frame generation stamp guards against.
-  uint32_t wal_spare_segments = 1;
-
   /// A background checkpoint is scheduled every this many acknowledged
-  /// mutations. 0 = checkpoint only on explicit CheckpointNow().
+  /// mutations; it runs on the checkpointer's own worker thread, so the
+  /// triggering mutator never waits. 0 = checkpoint only on explicit
+  /// CheckpointNow().
   uint64_t checkpoint_every_mutations = 0;
-
-  /// Run scheduled checkpoints on a background worker thread (the engine's
-  /// mutators only trigger, never wait). false = the triggering mutator
-  /// runs the checkpoint inline (deterministic; used by tests).
-  bool background_checkpoints = true;
 };
 
 /// Write-ahead-log counters (WriteAheadLog::stats).
@@ -61,13 +52,10 @@ struct WalStats {
   Lsn durable_lsn = 0;
   Lsn applied_low_water = 0;
   // ---- Segment lifecycle (rotation + truncation GC) ----
-  uint64_t live_segments = 0;       ///< segment files currently in the chain
-  uint64_t spare_segments = 0;      ///< recycled files waiting for reuse
-  uint64_t tail_segment_seq = 0;    ///< generation stamp of the append tail
-  uint64_t segments_rotated = 0;    ///< rotations the flusher performed
-  uint64_t segments_recycled = 0;   ///< rotations served from the spare pool
-  uint64_t segments_unlinked = 0;   ///< truncated segments removed from disk
-  uint64_t segments_spared = 0;     ///< truncated segments renamed to spares
+  uint64_t live_segments = 0;      ///< segment files currently in the chain
+  uint64_t tail_segment_seq = 0;   ///< generation stamp of the append tail
+  uint64_t segments_rotated = 0;   ///< rotations the flusher performed
+  uint64_t segments_unlinked = 0;  ///< truncated segments removed from disk
   /// Group-commit batching factor: acknowledged records per sync. 1.0 in
   /// per-record-flush mode; > 1 whenever concurrent mutators shared a sync.
   double records_per_flush() const {

@@ -162,7 +162,7 @@ Checkpointer::Checkpointer(SubscriptionEngine* engine, WriteAheadLog* wal,
                            CheckpointStore* store, Options options)
     : engine_(engine), wal_(wal), store_(store), options_(options) {
   ACCL_CHECK(engine_ != nullptr && wal_ != nullptr && store_ != nullptr);
-  if (options_.background) {
+  if (options_.every_mutations > 0) {
     pool_ = std::make_unique<exec::ThreadPool>(1);
   }
 }
@@ -228,15 +228,10 @@ void Checkpointer::OnMutations(uint64_t n) {
   }
   if (inflight_.exchange(true, std::memory_order_acquire)) return;
   mutations_since_.store(0, std::memory_order_relaxed);
-  const auto job = [this] {
+  pool_->Submit([this] {
     CheckpointNow();
     inflight_.store(false, std::memory_order_release);
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(job);
-  } else {
-    job();
-  }
+  });
 }
 
 CheckpointStats Checkpointer::stats() const {

@@ -84,12 +84,10 @@ class CheckpointStore {
 class Checkpointer {
  public:
   struct Options {
-    /// Schedule a checkpoint every this many acknowledged mutations
-    /// (OnMutations). 0 = only explicit CheckpointNow calls.
+    /// Schedule a checkpoint on the private background worker every this
+    /// many acknowledged mutations (OnMutations). 0 = only explicit
+    /// CheckpointNow calls, and no worker thread.
     uint64_t every_mutations = 0;
-    /// Run scheduled checkpoints on a private background worker; false
-    /// runs them inline on the triggering mutator (deterministic tests).
-    bool background = true;
   };
 
   /// None of the pointers are owned; all must outlive the checkpointer.
@@ -107,7 +105,7 @@ class Checkpointer {
   bool CheckpointNow();
 
   /// Mutation-count trigger, called by the engine after acknowledged
-  /// mutations. Never blocks on the checkpoint itself in background mode.
+  /// mutations. Never blocks on the checkpoint itself.
   void OnMutations(uint64_t n);
 
   CheckpointStats stats() const;
@@ -140,9 +138,10 @@ class Checkpointer {
   obs::Gauge last_write_us_;
   obs::MetricsRegistry* attached_reg_ = nullptr;
 
-  /// Private single worker so background checkpoints never contend with
-  /// the engine's match pool; destroyed first (declared last) so the
-  /// destructor's join happens while every other member is still alive.
+  /// Private single worker (only when every_mutations > 0) so background
+  /// checkpoints never contend with the engine's match pool; destroyed
+  /// first (declared last) so the destructor's join happens while every
+  /// other member is still alive.
   std::unique_ptr<exec::ThreadPool> pool_;
 };
 

@@ -168,7 +168,6 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
   wal_opts.group_commit = durability_options.group_commit;
   wal_opts.disk = disk;
   wal_opts.segment_bytes = durability_options.wal_segment_bytes;
-  wal_opts.spare_segments = durability_options.wal_spare_segments;
   out->wal = WriteAheadLog::Open(wal_path, wal_opts);
   if (out->wal == nullptr) {
     if (status != nullptr) {
@@ -198,7 +197,6 @@ bool OpenDurable(AttributeSchema schema, EngineOptions engine_options,
   out->engine->AttachDurability(out->wal.get());
   Checkpointer::Options cp_opts;
   cp_opts.every_mutations = durability_options.checkpoint_every_mutations;
-  cp_opts.background = durability_options.background_checkpoints;
   out->checkpointer = std::make_unique<Checkpointer>(
       out->engine.get(), out->wal.get(), out->checkpoints.get(), cp_opts);
   out->engine->SetCheckpointer(out->checkpointer.get());

@@ -38,11 +38,29 @@ bool ParseSeq(const std::string& s, uint64_t* seq) {
   return true;
 }
 
-std::vector<SegmentFileInfo> ListWithInfix(const std::string& base,
-                                           const std::string& infix) {
+}  // namespace
+
+uint32_t FrameChecksum(const uint8_t* payload, size_t n, Lsn lsn,
+                       uint64_t gen) {
+  return FrameChecksumFromHash(Fnv1aBytes(kFnvOffsetBasis, payload, n), lsn,
+                               gen);
+}
+
+uint32_t FrameChecksumFromHash(uint64_t payload_hash, Lsn lsn, uint64_t gen) {
+  return FnvFold32(Fnv1a(Fnv1a(payload_hash, lsn), gen));
+}
+
+std::string SegmentPath(const std::string& base, uint64_t seq) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), ".%08llu",
+                static_cast<unsigned long long>(seq));
+  return base + buf;
+}
+
+std::vector<SegmentFileInfo> ListSegmentFiles(const std::string& base) {
   std::string dir, prefix;
   SplitBase(base, &dir, &prefix);
-  prefix += infix;
+  prefix += '.';
   std::vector<SegmentFileInfo> out;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return out;
@@ -67,98 +85,36 @@ std::vector<SegmentFileInfo> ListWithInfix(const std::string& base,
   return out;
 }
 
-std::string SeqSuffix(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%08llu",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-}  // namespace
-
-uint32_t FrameChecksum(const uint8_t* payload, size_t n, Lsn lsn,
-                       uint64_t gen) {
-  return FrameChecksumFromHash(Fnv1aBytes(kFnvOffsetBasis, payload, n), lsn,
-                               gen);
-}
-
-uint32_t FrameChecksumFromHash(uint64_t payload_hash, Lsn lsn, uint64_t gen) {
-  return FnvFold32(Fnv1a(Fnv1a(payload_hash, lsn), gen));
-}
-
-std::string SegmentPath(const std::string& base, uint64_t seq) {
-  return base + "." + SeqSuffix(seq);
-}
-
-std::string SparePath(const std::string& base, uint64_t seq) {
-  return base + ".spare." + SeqSuffix(seq);
-}
-
-std::vector<SegmentFileInfo> ListSegmentFiles(const std::string& base) {
-  return ListWithInfix(base, ".");
-}
-
-std::vector<SegmentFileInfo> ListSpareFiles(const std::string& base) {
-  return ListWithInfix(base, ".spare.");
-}
-
 void RemoveWalFiles(const std::string& base) {
   for (const SegmentFileInfo& f : ListSegmentFiles(base)) {
     std::remove(f.path.c_str());
   }
-  for (const SegmentFileInfo& f : ListSpareFiles(base)) {
-    std::remove(f.path.c_str());
-  }
 }
 
-namespace {
-
-/// Writes + syncs the preamble of `file`. One fault consult, one charged
-/// head repositioning + transfer.
-bool WritePreamble(PagedFile* file, uint64_t seq, Lsn base_lsn,
-                   SimDisk* disk) {
-  if (disk != nullptr && disk->NextOpFails()) return false;
-  uint8_t pre[kSegmentPreambleBytes];
+std::unique_ptr<WalSegment> WalSegment::Create(const std::string& path,
+                                               uint64_t seq, SimDisk* disk) {
+  if (disk != nullptr && disk->NextOpFails()) return nullptr;
+  std::unique_ptr<PagedFile> file = PagedFile::Create(path, kDurablePageBytes);
+  if (file == nullptr) return nullptr;
+  if (disk != nullptr) disk->NoteCreate();
+  // Preamble write + sync: one more fault consult, one charged head
+  // repositioning + transfer. Bytes 16..23 are the reserved zero field.
+  if (disk != nullptr && disk->NextOpFails()) {
+    return nullptr;  // the torn file is GC'd at the next open
+  }
+  uint8_t pre[kSegmentPreambleBytes] = {};
   const uint32_t magic = kSegmentMagic;
   const uint32_t version = kSegmentVersion;
   std::memcpy(pre, &magic, 4);
   std::memcpy(pre + 4, &version, 4);
   std::memcpy(pre + 8, &seq, 8);
-  std::memcpy(pre + 16, &base_lsn, 8);
-  if (!file->StreamWrite(0, pre, kSegmentPreambleBytes)) return false;
-  if (!file->Sync()) return false;
+  if (!file->StreamWrite(0, pre, kSegmentPreambleBytes) || !file->Sync()) {
+    return nullptr;
+  }
   if (disk != nullptr) {
     disk->Seek();
     disk->Transfer(kSegmentPreambleBytes);
   }
-  return true;
-}
-
-}  // namespace
-
-std::unique_ptr<WalSegment> WalSegment::Create(const std::string& path,
-                                               uint64_t seq, Lsn base_lsn,
-                                               SimDisk* disk) {
-  if (disk != nullptr && disk->NextOpFails()) return nullptr;
-  std::unique_ptr<PagedFile> file = PagedFile::Create(path, kDurablePageBytes);
-  if (file == nullptr) return nullptr;
-  if (disk != nullptr) disk->NoteCreate();
-  if (!WritePreamble(file.get(), seq, base_lsn, disk)) {
-    return nullptr;  // the torn file is GC'd at the next open
-  }
-  return std::unique_ptr<WalSegment>(
-      new WalSegment(path, std::move(file), seq));
-}
-
-std::unique_ptr<WalSegment> WalSegment::Recycle(const std::string& path,
-                                                uint64_t seq, Lsn base_lsn,
-                                                SimDisk* disk) {
-  std::unique_ptr<PagedFile> file = PagedFile::Open(path);
-  if (file == nullptr) return nullptr;
-  // Rewrite the preamble only — the stale frame bytes past it survive on
-  // purpose (the generation stamp is what makes that safe), so recycling
-  // costs one small write instead of a truncate + regrow.
-  if (!WritePreamble(file.get(), seq, base_lsn, disk)) return nullptr;
   return std::unique_ptr<WalSegment>(
       new WalSegment(path, std::move(file), seq));
 }

@@ -1,4 +1,4 @@
-// Epoch-based reclamation for read-mostly shared state.
+// Epoch-based grace periods for read-mostly shared state.
 //
 // The sharded SDI engine publishes its routing metadata as immutable
 // snapshots behind a single atomic pointer; readers must be able to use a
@@ -6,9 +6,10 @@
 // a superseded snapshot is gone before tearing anything down. This is the
 // classic epoch-based-reclamation contract of modern concurrent indexes
 // (the Bw-tree line of work): readers *pin* the current epoch for the
-// duration of one operation, writers *retire* obsolete state under the
-// epoch at which it became unreachable, and retired state is reclaimed
-// only once every active reader has advanced past that epoch.
+// duration of one operation, and a publisher that has unlinked state calls
+// Synchronize(), which returns once every reader pinned before the call
+// has unpinned. The publisher then frees the state itself, at the one
+// point where it knows the state is dead.
 //
 // Design, deliberately small:
 //   - A global epoch counter (monotone, starts at 1; slot value 0 means
@@ -24,9 +25,8 @@
 //     every slot is momentarily claimed (rare: it means more concurrent
 //     pins than slots) and is only freed at manager destruction, so the
 //     lock-free slot scan never races reclamation of the slots themselves.
-//   - A deferred retire list of (epoch, deleter) pairs, reclaimed when the
-//     minimum pinned epoch has advanced past them (TryReclaim), or
-//     synchronously after a grace period (Synchronize).
+//   - A blocking grace period (Synchronize): bump the epoch, then wait
+//     until no slot holds a pre-bump epoch.
 //
 // Memory-ordering contract (this is what makes the engine's migration
 // protocol sound): all epoch loads/stores and the publisher's snapshot
@@ -48,9 +48,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -64,9 +62,6 @@ struct EpochManagerStats {
   uint64_t epoch = 0;            ///< current global epoch
   uint64_t pins = 0;             ///< lifetime Pin() calls
   uint64_t synchronizes = 0;     ///< lifetime Synchronize() calls
-  uint64_t retired = 0;          ///< lifetime Retire() calls
-  uint64_t reclaimed = 0;        ///< retired entries whose deleter has run
-  uint64_t retired_pending = 0;  ///< retired entries awaiting reclamation
   /// Grace-period wait telemetry: how long Synchronize() calls blocked
   /// waiting for pre-bump readers to drain. Derived from a log-bucketed
   /// lifetime histogram (obs::Histogram, microsecond resolution), so the
@@ -84,7 +79,7 @@ class EpochManager {
   /// demand, so this is a contention hint, not a limit.
   explicit EpochManager(size_t min_slots = 0);
 
-  /// Runs every pending deleter unconditionally. No reader may be pinned.
+  /// Frees the slot blocks. No reader may be pinned.
   ~EpochManager();
 
   EpochManager(const EpochManager&) = delete;
@@ -143,30 +138,20 @@ class EpochManager {
     return global_epoch_.load(std::memory_order_seq_cst);
   }
 
-  /// Registers `deleter` to run once every reader pinned at or before the
-  /// current epoch has unpinned. Called by publishers after unlinking
-  /// state; the deleter runs on whichever thread later drives TryReclaim
-  /// or Synchronize (never concurrently with another deleter).
-  void Retire(std::function<void()> deleter);
-
-  /// Runs the deleters whose retire epoch is strictly below every pinned
-  /// reader's epoch. Returns how many ran. Non-blocking.
-  size_t TryReclaim();
-
   /// Grace period: advances the epoch and blocks (yielding) until no
-  /// reader remains pinned at a pre-advance epoch, then reclaims
-  /// everything retired before the call. On return, every Pin() that was
-  /// live when Synchronize started has been released — and any pin the
-  /// scan did not wait for began after the caller's preceding publications
-  /// (see the memory-ordering contract above).
+  /// reader remains pinned at a pre-advance epoch. On return, every Pin()
+  /// that was live when Synchronize started has been released — and any
+  /// pin the scan did not wait for began after the caller's preceding
+  /// publications (see the memory-ordering contract above) — so state the
+  /// caller unlinked before the call is safe for it to free.
   void Synchronize();
 
   EpochManagerStats stats() const;
 
-  /// Registers this manager's metrics (pins/synchronizes/retired/
-  /// reclaimed counters, grace-wait histogram) into `reg` under the
-  /// accl_epoch_* names. The manager owns the metrics; it must outlive
-  /// the registry or be detached.
+  /// Registers this manager's metrics (pins/synchronizes counters,
+  /// grace-wait histogram) into `reg` under the accl_epoch_* names. The
+  /// manager owns the metrics; it must outlive the registry or be
+  /// detached.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
   /// The grace-wait histogram (microseconds), for direct inspection.
@@ -185,30 +170,18 @@ class EpochManager {
     std::atomic<SlotBlock*> next{nullptr};
   };
 
-  /// Minimum epoch over pinned slots; ~0ull when nobody is pinned.
-  uint64_t MinActiveEpoch() const;
   /// Appends one block to the slot list (called with no locks held).
   SlotBlock* Grow();
-  size_t ReclaimUpTo(uint64_t min_active);
 
   std::atomic<uint64_t> global_epoch_{1};
   SlotBlock head_;  ///< first block inline: zero-allocation fast path
   std::mutex grow_mu_;
-
-  struct Retired {
-    uint64_t epoch;
-    std::function<void()> deleter;
-  };
-  mutable std::mutex retire_mu_;
-  std::vector<Retired> retired_;  ///< epoch-ordered (Retire stamps monotonically)
 
   /// Lifetime counters and the grace-wait latency histogram
   /// (microseconds): obs primitives so AttachMetrics can expose them on a
   /// registry while stats() keeps serving thin snapshot reads.
   obs::Counter pins_;
   obs::Counter synchronizes_;
-  obs::Counter retired_count_;
-  obs::Counter reclaimed_count_;
   obs::Histogram grace_wait_us_;
 };
 

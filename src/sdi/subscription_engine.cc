@@ -326,31 +326,13 @@ SubscriptionEngine::SubscriptionEngine(AttributeSchema schema,
   if (options_.match_threads > 1) {
     pool_ = std::make_unique<exec::ThreadPool>(options_.match_threads - 1);
   }
-  auto* snap = new RoutingSnapshot();
-  snap->plan = std::move(plan);
-  snap->version = 1;
-  snap->shards.reserve(shards_.size());
-  for (const auto& sh : shards_) snap->shards.push_back(sh.get());
-  snapshot_.store(snap, std::memory_order_seq_cst);
+  snapshot_.store(new RoutingSnapshot{std::move(plan), 1},
+                  std::memory_order_seq_cst);
 }
 
 SubscriptionEngine::~SubscriptionEngine() {
-  pool_.reset();         // join workers before tearing down routing state
-  epoch_.Synchronize();  // reclaim retired snapshots (no readers remain)
+  pool_.reset();  // join workers before tearing down routing state
   delete snapshot_.load(std::memory_order_acquire);
-}
-
-void SubscriptionEngine::PublishSnapshot(RoutingPlan plan) {
-  const RoutingSnapshot* old = SnapshotUnderRebalanceLock();
-  auto* next = new RoutingSnapshot();
-  next->plan = std::move(plan);
-  next->version = old->version + 1;
-  next->shards = old->shards;
-  // seq_cst swap: a reader whose pin the next grace-period scan does not
-  // observe is ordered after this store and must load `next` (see the
-  // epoch manager's memory-ordering contract).
-  snapshot_.store(next, std::memory_order_seq_cst);
-  epoch_.Retire([old] { delete old; });
 }
 
 uint32_t SubscriptionEngine::RangeShardFor(const RoutingPlan& plan,
@@ -696,7 +678,7 @@ void SubscriptionEngine::CaptureDurableImage(
   out->routing_version = snap->version;
   const size_t stride = 2 * static_cast<size_t>(schema_.dims());
   std::unordered_set<SubscriptionId> seen;
-  for (Shard* sh : snap->shards) {
+  for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh->mu);
     sh->index->ForEachObject([&](ObjectId id, BoxView b) {
       if (!seen.insert(id).second) return;  // double-resident: capture once
@@ -859,9 +841,8 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
   for (size_t s = 0; s < k; ++s) {
     res->per_shard[s].events_routed = ps.queues.size(s);
     res->per_shard[s].resident_subscriptions =
-        snap->shards[s]->subs.load(std::memory_order_relaxed);
-    snap->shards[s]->routed.fetch_add(ps.queues.size(s),
-                                      std::memory_order_relaxed);
+        shards_[s]->subs.load(std::memory_order_relaxed);
+    shards_[s]->routed.fetch_add(ps.queues.size(s), std::memory_order_relaxed);
     routed_total += ps.queues.size(s);
   }
   obs_->events_routed->Add(routed_total);
@@ -917,10 +898,10 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
 
   if (workers > 1) {
     pool_->ParallelFor(workers, [&](size_t w) {
-      RunPipelineWorker(w, ps, snap, events, policy, res, sink);
+      RunPipelineWorker(w, ps, events, policy, res, sink);
     });
   } else {
-    RunPipelineWorker(0, ps, snap, events, policy, res, sink);
+    RunPipelineWorker(0, ps, events, policy, res, sink);
   }
   ACCL_DCHECK(ps.events_done.load(std::memory_order_relaxed) == ne);
   // Shard reads are done. Unpinning now shortens the grace period
@@ -963,7 +944,6 @@ void SubscriptionEngine::MatchBatchImpl(Span<const Event> events,
 
 void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
                                            PipelineScratch& ps,
-                                           const RoutingSnapshot* snap,
                                            Span<const Event> events,
                                            MatchPolicy policy,
                                            MatchBatchResult* res,
@@ -1053,7 +1033,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
     ch.offsets.resize(len + 1);
     ch.verified.resize(len);
     ch.offsets[0] = 0;
-    Shard& sh = *snap->shards[s];
+    Shard& sh = *shards_[s];
     Query& q = ps.worker_query[worker_id];
     for (size_t j = 0; j < len; ++j) {
       const Event& ev = events[q_items[p + j]];
@@ -1102,7 +1082,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
         continue;
       }
       if (first_pending == k) first_pending = s;
-      Shard& sh = *snap->shards[s];
+      Shard& sh = *shards_[s];
       if (!sh.mu.try_lock()) {  // busy: steal from the next shard
         ++ps.try_lock_fail[worker_id][s];
         continue;
@@ -1130,7 +1110,7 @@ void SubscriptionEngine::RunPipelineWorker(size_t worker_id,
       // first pending shard — bounded by one chunk of the current holder —
       // instead of spinning.
       if (ps.ready_head.load(std::memory_order_acquire) >= 0) continue;
-      Shard& sh = *snap->shards[first_pending];
+      Shard& sh = *shards_[first_pending];
       sh.mu.lock();
       size_t p, end;
       {
@@ -1350,12 +1330,16 @@ void SubscriptionEngine::ApplyRoutingLocked(RoutingPlan plan) {
   // Phase 3 — publish, then wait out the grace period: after Synchronize
   // returns, every reader that routed with the old table has finished its
   // shard reads, and any reader it did not wait for is guaranteed to have
-  // loaded the new snapshot (seq_cst publish ordering). Readers of the new
-  // table find the moving subscriptions at their destinations, so the
-  // source copies below are dead weight for every possible reader.
-  PublishSnapshot(std::move(plan));
-  // The same grace period frees the superseded snapshot (a few bytes).
+  // loaded the new snapshot (the seq_cst swap below; see the epoch
+  // manager's memory-ordering contract). Readers of the new table find the
+  // moving subscriptions at their destinations, so the source copies below
+  // are dead weight for every possible reader — and so is the superseded
+  // snapshot, freed right here.
+  const RoutingSnapshot* old = SnapshotUnderRebalanceLock();
+  snapshot_.store(new RoutingSnapshot{std::move(plan), old->version + 1},
+                  std::memory_order_seq_cst);
   epoch_.Synchronize();
+  delete old;
 
   // Phase 4 — deferred source cleanup: flip ownership and bulk-erase the
   // stale source copies. An id whose second_home_ entry is gone was

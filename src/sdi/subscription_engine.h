@@ -42,12 +42,12 @@
 // double-residency migration rebalancing uses, so match sets stay exact
 // throughout.
 //
-// Epoch-published routing snapshots: the fence array, the shard handle
-// table and a version number live in one immutable RoutingSnapshot behind
-// a single atomic pointer. Matchers pin a reclamation epoch
-// (exec/epoch.h), load the snapshot, and route the entire operation
-// against that one consistent table — no routing lock, no engine meta
-// lock. Rebalancing migrates subscriptions with a grace-period
+// Epoch-published routing snapshots: the fence plan and a version number
+// live in one immutable RoutingSnapshot behind a single atomic pointer
+// (the shard table itself never changes after construction). Matchers pin
+// a reclamation epoch (exec/epoch.h), load the snapshot, and route the
+// entire operation against that one consistent table — no routing lock,
+// no engine meta lock. Rebalancing migrates subscriptions with a grace-period
 // *double-residency* protocol: moving subscriptions are inserted at their
 // destination first, the new snapshot is published, the old epoch drains,
 // and only then are the source copies erased — so a match running at any
@@ -190,8 +190,9 @@ struct EngineOptions {
 ///     both shards finds it twice and deduplicates during the
 ///     ObjectId-sorted merge. Match sets are therefore exact — identical
 ///     to a serial oracle over the live subscription set — at every
-///     instant of a migration. Retired snapshots are reclaimed through the
-///     epoch manager's deferred retire list.
+///     instant of a migration. The migration deletes the superseded
+///     snapshot right after step (3): the same grace period that makes
+///     the source copies dead makes the old snapshot unreachable.
 ///
 ///   - Determinism: for a deterministic call sequence the results are
 ///     byte-identical across shard/thread/boundary configurations
@@ -392,13 +393,14 @@ class SubscriptionEngine {
 
   // ---- Epoch subsystem introspection ----
 
-  /// Blocks until every in-flight match pinned before this call has
-  /// drained, then reclaims retired routing snapshots. Useful for tests
-  /// and orderly shutdown; never required for correctness.
+  /// Runs one epoch grace period: blocks until every in-flight match
+  /// pinned before this call has drained. Useful for tests; never required
+  /// for correctness (each migration runs its own grace period and frees
+  /// the snapshot it superseded).
   void SynchronizeEpochs();
 
-  /// Counters of the engine's epoch manager (pins, grace periods, retired
-  /// and reclaimed snapshots).
+  /// Counters of the engine's epoch manager (pins, grace periods and
+  /// their wait times).
   exec::EpochManagerStats epoch_stats() const { return epoch_.stats(); }
 
   // ---- Observability (src/obs/) ----
@@ -505,12 +507,11 @@ class SubscriptionEngine {
   };
 
   /// Immutable routing state, published whole behind `snapshot_`. Readers
-  /// obtain it under an epoch pin and never see it change; superseded
-  /// snapshots are retired through the epoch manager.
+  /// obtain it under an epoch pin and never see it change; the migration
+  /// that supersedes a snapshot deletes it after its grace period.
   struct RoutingSnapshot {
     RoutingPlan plan;
     uint64_t version = 0;
-    std::vector<Shard*> shards;   ///< handle table (Shard storage is stable)
   };
 
   /// Shard choice for one subscription. `plan` is only read by kRange
@@ -531,9 +532,6 @@ class SubscriptionEngine {
   const RoutingSnapshot* SnapshotUnderRebalanceLock() const {
     return snapshot_.load(std::memory_order_acquire);
   }
-  /// Allocates and publishes a snapshot with `plan`, retiring the old
-  /// one through the epoch manager. Caller holds rebalance_mu_.
-  void PublishSnapshot(RoutingPlan plan);
 
   static Relation RelationFor(const Event& event, MatchPolicy policy);
 
@@ -555,9 +553,8 @@ class SubscriptionEngine {
   /// per-event remaining-visit counters, and finalizes events whose last
   /// visit completed. Runs on pool workers and the calling thread.
   void RunPipelineWorker(size_t worker_id, PipelineScratch& ps,
-                         const RoutingSnapshot* snap, Span<const Event> events,
-                         MatchPolicy policy, MatchBatchResult* res,
-                         MatchSink* sink);
+                         Span<const Event> events, MatchPolicy policy,
+                         MatchBatchResult* res, MatchSink* sink);
   std::unique_ptr<PipelineScratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<PipelineScratch> s);
 
@@ -583,8 +580,8 @@ class SubscriptionEngine {
 
   /// Double-residency migration: scans every shard for residents `plan`
   /// routes elsewhere, inserts them at their destinations, publishes
-  /// `plan`, waits out the grace period, and erases the stale source
-  /// copies. Caller holds rebalance_mu_.
+  /// `plan`, waits out the grace period, deletes the superseded snapshot
+  /// and erases the stale source copies. Caller holds rebalance_mu_.
   void ApplyRoutingLocked(RoutingPlan plan);
 
   /// Adaptive-evaluation hook, called after every match entry point (with
@@ -619,7 +616,7 @@ class SubscriptionEngine {
   /// AttachDurability/SetCheckpointer, read by the mutation entry points.
   durability::WriteAheadLog* wal_ = nullptr;
   durability::Checkpointer* checkpointer_ = nullptr;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< fixed at construction
   std::unique_ptr<exec::ThreadPool> pool_;  ///< null when match_threads <= 1
 
   /// Current routing snapshot; swapped only under rebalance_mu_, read by

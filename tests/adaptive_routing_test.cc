@@ -419,7 +419,7 @@ TEST(AdaptiveEngine, ManualDimensionSwitchKeepsMatchSetsExact) {
   }
   EXPECT_EQ(resident, subs.size());
   engine.SynchronizeEpochs();
-  EXPECT_EQ(engine.epoch_stats().retired_pending, 0u);
+  EXPECT_GE(engine.epoch_stats().synchronizes, engine.routing_version() - 1);
 
   // A hash-sharded engine has no fence dimension to move.
   o.sharding = ShardingPolicy::kHashId;

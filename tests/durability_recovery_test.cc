@@ -53,14 +53,13 @@ EngineOptions Opts() {
 DurabilityOptions DurOpts() {
   DurabilityOptions d;
   d.group_commit = true;
-  d.checkpoint_every_mutations = 0;  // the script checkpoints explicitly
-  d.background_checkpoints = false;  // deterministic op counts
+  // The script checkpoints explicitly, so op counts are deterministic.
+  d.checkpoint_every_mutations = 0;
   // Tiny segments so the script's flushes rotate the WAL many times and
-  // its checkpoints actually drop (and recycle) segments: the crash-point
-  // matrix then lands faults inside rotation, recycling and segment GC,
-  // not just inside flushes and checkpoint writes.
+  // its checkpoints actually unlink segments: the crash-point matrix then
+  // lands faults inside rotation and segment GC, not just inside flushes
+  // and checkpoint writes.
   d.wal_segment_bytes = 256;
-  d.wal_spare_segments = 1;
   return d;
 }
 
@@ -75,7 +74,7 @@ struct Paths {
       : wal(TempPath("durrec_" + tag + ".wal")),
         ckpt(TempPath("durrec_" + tag + ".ck")) {}
   void Remove() const {
-    durability::RemoveWalFiles(wal);  // the whole segment chain + spares
+    durability::RemoveWalFiles(wal);  // the whole segment chain
     std::remove(ckpt.c_str());
   }
 };
@@ -190,13 +189,13 @@ TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
     DriveScript(de, &acked);
     // The script's checkpoints truncated the WAL as they went, and under
     // the tiny segment size that means real segment GC: files rotated in,
-    // then dropped (unlinked or spared) once a checkpoint covered them —
+    // then unlinked once a checkpoint covered them —
     // the on-disk footprint is bounded, not just logically truncated.
     EXPECT_GT(de.checkpointer->stats().checkpoints_written, 0u);
     const WalStats ws = de.wal->stats();
     EXPECT_GT(ws.truncations, 0u);
     EXPECT_GT(ws.segments_rotated, 0u);
-    EXPECT_GT(ws.segments_unlinked + ws.segments_spared, 0u);
+    EXPECT_GT(ws.segments_unlinked, 0u);
     EXPECT_LT(ws.live_segments, ws.segments_rotated + 1);
     fences_version = de.engine->routing_version();
     EXPECT_GT(acked.size(), 20u);  // the script really did build state
@@ -229,6 +228,73 @@ TEST(DurabilityRecovery, CleanRestartRestoresEverythingExactly) {
   paths.Remove();
 }
 
+TEST(DurabilityRecovery, LsnsAfterAFullyTruncatedLogSortPastTheImage) {
+  const Paths paths("emptied");
+  paths.Remove();
+  std::map<SubscriptionId, Box> acked;
+  Rng rng(31);
+  {
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    for (int i = 0; i < 12; ++i) {
+      const Box b = testutil::RandomBox(rng, kNd, 0.5f);
+      const SubscriptionId id = de.engine->SubscribeBox(b);
+      ASSERT_NE(id, kInvalidObject);
+      acked[id] = b;
+    }
+  }
+  // A crash between a rotation's file create and its first write leaves an
+  // empty tail segment past the last record.
+  const auto segs = durability::ListSegmentFiles(paths.wal);
+  ASSERT_FALSE(segs.empty());
+  const uint64_t empty_seq = segs.back().seq + 1;
+  ASSERT_NE(durability::WalSegment::Create(
+                durability::SegmentPath(paths.wal, empty_seq), empty_seq,
+                /*disk=*/nullptr),
+            nullptr);
+  // Checkpoint: the image covers every record, so the truncation drops
+  // every sealed segment and leaves only the empty tail — the log is empty.
+  Lsn image_lsn = kNoLsn;
+  {
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    ASSERT_TRUE(de.checkpointer->CheckpointNow());
+    image_lsn = de.checkpointer->stats().last_lsn;
+    EXPECT_EQ(image_lsn, 12u);
+    EXPECT_EQ(de.wal->stats().live_segments, 1u);
+  }
+  ASSERT_EQ(durability::ListSegmentFiles(paths.wal).size(), 1u);
+  // Recover from the image alone, then subscribe: the new record must sort
+  // after the image, or the next recovery's replay (which starts past the
+  // image LSN) would skip it.
+  {
+    durability::DurableEngine de;
+    Status st;
+    ASSERT_TRUE(durability::OpenDurable(UnitSchema(), Opts(), DurOpts(),
+                                        paths.wal, paths.ckpt, nullptr, &de,
+                                        &st))
+        << st.message();
+    EXPECT_TRUE(de.recovery.checkpoint_loaded);
+    EXPECT_EQ(de.recovery.checkpoint_lsn, image_lsn);
+    EXPECT_EQ(de.recovery.wal_records_scanned, 0u);
+    const SubscriptionId fresh = de.engine->SubscribeBox(Box::FullDomain(kNd));
+    ASSERT_NE(fresh, kInvalidObject);
+    EXPECT_GT(fresh, acked.rbegin()->first);
+    EXPECT_GT(de.wal->max_lsn(), image_lsn);
+    acked[fresh] = Box::FullDomain(kNd);
+  }
+  ExpectRecoveredParity(paths, acked, "second recovery");
+  paths.Remove();
+}
+
 TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {
   // Dry run with a counting disk: its io_ops() is the matrix size.
   uint64_t total_ops = 0;
@@ -245,6 +311,10 @@ TEST(DurabilityRecovery, CrashPointMatrixPreservesAcknowledgedPrefix) {
       DriveScript(de, &acked);
       total_ops = disk.io_ops();
       EXPECT_EQ(disk.faults_injected(), 0u);
+      // The matrix reaches rotation and segment unlinks, not just flushes.
+      EXPECT_GT(de.wal->stats().segments_rotated, 0u);
+      EXPECT_GT(de.wal->stats().segments_unlinked, 0u);
+      EXPECT_GT(disk.file_unlinks(), 0u);
     }
     ExpectRecoveredParity(paths, acked, "dry run");
     SubscribeAfterRecovery(paths, &acked, "dry run");

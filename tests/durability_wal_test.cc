@@ -1,9 +1,10 @@
 // Unit tests for the segmented write-ahead log and the shadow-paged
 // checkpoint store: framing round trips, tail-corruption containment,
-// segment rotation and boundary-spanning replay, truncation GC (unlink +
-// spare recycling) and the generation-stamp ABA regression, group-commit vs
-// per-record flush accounting, fault injection across the file lifecycle,
-// and the checkpoint store's old-image-survives-failed-write guarantee.
+// segment rotation and boundary-spanning replay, reopen dropping segments
+// past the valid prefix, truncation GC (unlink) and the generation-stamp
+// ABA regression, group-commit vs per-record flush accounting, fault
+// injection across the file lifecycle, and the checkpoint store's
+// old-image-survives-failed-write guarantee.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,7 +27,7 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
-/// WAL base path with no leftover segment or spare files.
+/// WAL base path with no leftover segment files.
 std::string FreshBase(const char* name) {
   const std::string base = TempPath(name);
   RemoveWalFiles(base);
@@ -97,7 +98,6 @@ void WriteStaleFrame(const std::string& segment_path, uint64_t gen) {
 WriteAheadLog::Options SmallSegments() {
   WriteAheadLog::Options o;
   o.segment_bytes = 64;
-  o.spare_segments = 1;
   return o;
 }
 
@@ -114,7 +114,7 @@ void AppendSerial(WriteAheadLog* wal, ObjectId first_id, int n, float seed) {
 
 TEST(WriteAheadLog, AppendReplayRoundTrip) {
   const std::string base = FreshBase("wal_roundtrip.wal");
-  auto wal = WriteAheadLog::Create(base, {});
+  auto wal = WriteAheadLog::Open(base, {});
   ASSERT_NE(wal, nullptr);
 
   const auto c1 = BoxCoords(3, 0.1f);
@@ -156,7 +156,7 @@ TEST(WriteAheadLog, RetiredBatchKindReplaysAsSubscribe) {
   std::vector<float> two(c);
   two.insert(two.end(), c.begin(), c.end());
   {
-    auto wal = WriteAheadLog::Create(base, {});
+    auto wal = WriteAheadLog::Open(base, {});
     ASSERT_TRUE(wal->WaitDurable(wal->AppendSubscribe(5, 2, 2, two.data())));
   }
   {
@@ -198,7 +198,7 @@ TEST(WriteAheadLog, ReopenFindsTheDurablePrefixAndContinuesLsns) {
   const std::string base = FreshBase("wal_reopen.wal");
   const auto c = BoxCoords(2, 0.2f);
   {
-    auto wal = WriteAheadLog::Create(base, {});
+    auto wal = WriteAheadLog::Open(base, {});
     for (int i = 0; i < 5; ++i) wal->AppendSubscribe(i, 1, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(5));
   }
@@ -219,7 +219,7 @@ TEST(WriteAheadLog, CorruptTailStopsReplayCleanly) {
   const std::string base = FreshBase("wal_corrupt.wal");
   const auto c = BoxCoords(2, 0.4f);
   {
-    auto wal = WriteAheadLog::Create(base, {});
+    auto wal = WriteAheadLog::Open(base, {});
     for (int i = 0; i < 4; ++i) wal->AppendSubscribe(i, 1, 2, c.data());
     ASSERT_TRUE(wal->WaitDurable(4));
   }
@@ -241,6 +241,48 @@ TEST(WriteAheadLog, CorruptTailStopsReplayCleanly) {
   EXPECT_EQ(wal->AppendSubscribe(50, 1, 2, c.data()), 4u);
   ASSERT_TRUE(wal->WaitDurable(4));
   EXPECT_EQ(ReplayAll(*wal).size(), 4u);
+  wal.reset();
+  RemoveWalFiles(base);
+}
+
+TEST(WriteAheadLog, ReopenDropsSegmentsPastTheValidPrefix) {
+  const std::string base = FreshBase("wal_unreachable.wal");
+  {
+    auto wal = WriteAheadLog::Open(base, SmallSegments());
+    ASSERT_NE(wal, nullptr);
+    AppendSerial(wal.get(), 0, 6, 0.2f);  // 1:{1,2} 2:{3,4} 3:{5,6}
+  }
+  // Corrupt lsn 4, segment 2's second frame. Segment 3 keeps a valid
+  // preamble and valid frames, but its first LSN (5) no longer continues
+  // the chain, so the valid prefix ends inside segment 2, after lsn 3.
+  {
+    auto pf = PagedFile::Open(SegmentPath(base, 2));
+    ASSERT_NE(pf, nullptr);
+    const uint32_t garbage[2] = {0xDEADBEEFu, 0x12345678u};
+    ASSERT_TRUE(pf->StreamWrite(
+        kSegmentPreambleBytes + kSubscribe2dFrameBytes + 10, garbage, 8));
+    ASSERT_TRUE(pf->Sync());
+  }
+  auto wal = WriteAheadLog::Open(base, SmallSegments());
+  ASSERT_NE(wal, nullptr);
+  EXPECT_EQ(wal->max_lsn(), 3u);
+  // Segment 3 is unreachable: reopen drops it, so the append tail is the
+  // end of the valid prefix and a new append lands where replay finds it.
+  EXPECT_EQ(wal->stats().live_segments, 2u);
+  EXPECT_EQ(wal->stats().tail_segment_seq, 2u);
+  EXPECT_EQ(ListSegmentFiles(base).size(), 2u);
+  AppendSerial(wal.get(), 40, 1, 0.9f);  // lsn 4
+  const auto expect_replays_append = [](WriteAheadLog& w) {
+    const std::vector<WalRecord> recs = ReplayAll(w);
+    ASSERT_EQ(recs.size(), 4u);
+    EXPECT_EQ(recs.back().lsn, 4u);
+    EXPECT_EQ(recs.back().first_id, 40u);
+  };
+  expect_replays_append(*wal);
+  wal.reset();
+  wal = WriteAheadLog::Open(base, SmallSegments());
+  ASSERT_NE(wal, nullptr);
+  expect_replays_append(*wal);
   wal.reset();
   RemoveWalFiles(base);
 }
@@ -286,9 +328,9 @@ TEST(WriteAheadLog, ReopenResumesInEmptyJustRotatedTail) {
   }
   // Simulate a crash between a rotation's seal and the first write into
   // the new segment: the chain is [full seg 1, empty seg 2] on disk.
-  ASSERT_NE(WalSegment::Create(SegmentPath(base, 2), /*seq=*/2,
-                               /*base_lsn=*/3, /*disk=*/nullptr),
-            nullptr);
+  ASSERT_NE(
+      WalSegment::Create(SegmentPath(base, 2), /*seq=*/2, /*disk=*/nullptr),
+      nullptr);
   auto wal = WriteAheadLog::Open(base, SmallSegments());
   ASSERT_NE(wal, nullptr);
   // The empty tail is a valid (empty) continuation, not corruption: the
@@ -319,15 +361,13 @@ TEST(WriteAheadLog, TruncateDropsCoveredSegmentsDurablyAndBoundsFootprint) {
   EXPECT_EQ(wal->applied_low_water(), 6u);
   ASSERT_TRUE(wal->Truncate(6).ok());
 
-  // Segments {1,2}, {3,4}, {5,6} are fully covered: one becomes the spare,
-  // the rest are unlinked — the on-disk footprint actually shrinks.
+  // Segments {1,2}, {3,4}, {5,6} are fully covered and unlinked — the
+  // on-disk footprint actually shrinks.
   WalStats st = wal->stats();
   EXPECT_EQ(st.truncations, 1u);
   EXPECT_EQ(st.live_segments, 2u);
-  EXPECT_EQ(st.segments_spared, 1u);
-  EXPECT_EQ(st.segments_unlinked, 2u);
+  EXPECT_EQ(st.segments_unlinked, 3u);
   EXPECT_EQ(ListSegmentFiles(base).size(), 2u);
-  EXPECT_EQ(ListSpareFiles(base).size(), 1u);
 
   std::vector<WalRecord> recs = ReplayAll(*wal);
   ASSERT_EQ(recs.size(), 4u);
@@ -343,32 +383,31 @@ TEST(WriteAheadLog, TruncateDropsCoveredSegmentsDurablyAndBoundsFootprint) {
   RemoveWalFiles(base);
 }
 
-TEST(WriteAheadLog, GenerationStampRejectsStaleBytesInRecycledSegment) {
+TEST(WriteAheadLog, GenerationStampRejectsOlderGenerationFramePastTheTail) {
   const std::string base = FreshBase("wal_aba.wal");
   auto wal = WriteAheadLog::Open(base, SmallSegments());
-  // Segments: 1:{1,2} 2:{3,4} 3:{5,6}. Truncate(4) spares segment 1 and
-  // unlinks segment 2; the next rotation recycles the spare as segment 4
-  // WITHOUT truncating its payload, so segment 1's old frames survive as
-  // stale bytes past whatever the new generation overwrites.
+  // Segments: 1:{1,2} 2:{3,4} 3:{5,6}. Truncate(4) unlinks segments 1 and
+  // 2; the next rotation creates segment 4 fresh.
   AppendSerial(wal.get(), 0, 6, 0.6f);
   for (Lsn l = 1; l <= 4; ++l) wal->MarkApplied(l);
   ASSERT_TRUE(wal->Truncate(4).ok());
   AppendSerial(wal.get(), 10, 1, 0.7f);  // lsn 7, first frame of segment 4
   WalStats st = wal->stats();
-  EXPECT_EQ(st.segments_recycled, 1u);
+  EXPECT_EQ(st.segments_unlinked, 2u);
   EXPECT_EQ(st.tail_segment_seq, 4u);
   wal.reset();
 
-  // The recycled region right after lsn 7's frame still holds segment 1's
-  // second frame. Make it maximally adversarial — the exact layout the
-  // single-file log could not defend against: a stale frame with a valid
+  // Plant bytes from an older generation right after lsn 7's frame — what
+  // a reused disk region, or a stale file restored over the live name,
+  // would leave there. Make them maximally adversarial, the exact layout
+  // the single-file log could not defend against: a frame with a valid
   // length, a checksum consistent with its own bytes, and an LSN (8) that
-  // continues the live chain perfectly. Only its generation stamp (1, the
-  // segment's previous life) betrays it.
+  // continues the live chain perfectly. Only its generation stamp (1, a
+  // truncated segment's) betrays it.
   WriteStaleFrame(SegmentPath(base, 4), /*gen=*/1);
 
-  // Recovery must stop at lsn 7: the stale frame would replay a subscribe
-  // that was truncated away in another life of these bytes.
+  // Recovery must stop at lsn 7: the planted frame would replay a
+  // subscribe the live log never acknowledged.
   wal = WriteAheadLog::Open(base, SmallSegments());
   ASSERT_NE(wal, nullptr);
   EXPECT_EQ(wal->max_lsn(), 7u);
@@ -379,7 +418,7 @@ TEST(WriteAheadLog, GenerationStampRejectsStaleBytesInRecycledSegment) {
 
   // Control: restamp the identical frame under the segment's LIVE
   // generation (4) and it replays — proving the stamp, and nothing else
-  // about the framing, is what rejected the stale bytes.
+  // about the framing, is what rejected the older-generation bytes.
   WriteStaleFrame(SegmentPath(base, 4), /*gen=*/4);
   wal = WriteAheadLog::Open(base, SmallSegments());
   ASSERT_NE(wal, nullptr);
@@ -477,15 +516,13 @@ TEST(WriteAheadLog, LifecycleOpsConsultAndChargeTheSimDisk) {
   EXPECT_EQ(wal->Truncate(4).code(), StatusCode::kIOError);
   disk.DisarmFaults();
   ASSERT_TRUE(wal->Truncate(4).ok());
-  EXPECT_EQ(disk.file_renames(), 1u);  // segment 1 -> spare
-  EXPECT_EQ(disk.file_unlinks(), 1u);  // segment 2 removed
+  EXPECT_EQ(disk.file_unlinks(), 2u);  // segments 1 and 2 removed
   const uint64_t ops_before = disk.io_ops();
 
-  // The next rotation recycles the spare (rename back + preamble rewrite),
-  // all charged I/O.
+  // The next rotation creates a fresh file (create + preamble write), all
+  // charged I/O.
   AppendSerial(wal.get(), 10, 1, 0.3f);  // lsn 7 rotates into segment 4
-  EXPECT_EQ(disk.file_renames(), 2u);
-  EXPECT_EQ(wal->stats().segments_recycled, 1u);
+  EXPECT_EQ(disk.file_creates(), 3u);
   EXPECT_GT(disk.io_ops(), ops_before);
 
   const std::vector<WalRecord> recs = ReplayAll(*wal);

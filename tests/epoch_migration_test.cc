@@ -168,11 +168,12 @@ TEST(EpochMigration, DigestExactDuringContinuousRebalance) {
   EXPECT_GT(moves_seen.load(), 0u);
   EXPECT_GT(engine.rebalance_stats().boundary_moves, 0u);
 
-  // Epoch hygiene: after quiescing, retired snapshots are reclaimable and
-  // the grace-period machinery ran once per publish.
+  // Epoch hygiene: the grace-period machinery ran at least once per
+  // publish (each migration frees its superseded snapshot after its own
+  // Synchronize).
   engine.SynchronizeEpochs();
   const exec::EpochManagerStats es = engine.epoch_stats();
-  EXPECT_EQ(es.retired_pending, 0u);
+  EXPECT_GE(es.synchronizes, engine.routing_version() - 1);
   EXPECT_GT(es.synchronizes, 0u);
   EXPECT_GT(es.pins, 0u);
   // Grace-wait telemetry is populated: every Synchronize measured its

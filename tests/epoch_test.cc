@@ -1,17 +1,39 @@
-// Unit tests for the epoch-based reclamation subsystem (exec/epoch.h):
-// pin/unpin slot protocol, deferred retire lists, grace-period
-// Synchronize, slot-pool growth under more concurrent pins than slots,
-// and the counters the engine's observability surfaces.
+// Unit tests for the epoch grace-period subsystem (exec/epoch.h):
+// pin/unpin slot protocol, Synchronize blocking exactly while a
+// pre-advance pin is held (reentrant pins, pins in grown slot blocks),
+// slot-pool growth under more concurrent pins than slots, and the
+// counters the engine's observability surfaces.
 #include "exec/epoch.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
 namespace accl::exec {
 namespace {
+
+/// Runs Synchronize on a helper thread while the caller still holds a pin:
+/// the helper must not return for a while (ample opportunity to finish
+/// incorrectly), and must return once `release` drops the last pin.
+void ExpectSynchronizeWaitsFor(EpochManager& em,
+                               const std::function<void()>& release) {
+  std::atomic<bool> done{false};
+  std::thread sync([&] {
+    em.Synchronize();
+    done.store(true);
+  });
+  for (int i = 0; i < 20 && !done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(done.load()) << "Synchronize returned while a pin was held";
+  release();
+  sync.join();
+  EXPECT_TRUE(done.load());
+}
 
 TEST(Epoch, PinReportsCurrentEpochAndReleases) {
   EpochManager em;
@@ -45,63 +67,23 @@ TEST(Epoch, ReentrantPinsOccupyDistinctSlots) {
   EXPECT_TRUE(a.pinned());
   EXPECT_TRUE(b.pinned());
   a.Release();
-  // b still pins its own slot: retire at the current epoch and verify the
-  // entry is not reclaimable while b lives.
-  bool freed = false;
-  em.Retire([&] { freed = true; });
-  EXPECT_EQ(em.TryReclaim(), 0u);
-  EXPECT_FALSE(freed);
-  b.Release();
-  EXPECT_EQ(em.TryReclaim(), 1u);
-  EXPECT_TRUE(freed);
+  // b still pins its own slot: a grace period must wait for it alone.
+  ExpectSynchronizeWaitsFor(em, [&] { b.Release(); });
 }
 
-TEST(Epoch, RetireIsDeferredUntilReadersDrain) {
-  EpochManager em;
-  EpochManager::Guard g = em.Pin();
-  std::vector<int> order;
-  em.Retire([&] { order.push_back(1); });
-  em.Retire([&] { order.push_back(2); });
-  EXPECT_EQ(em.TryReclaim(), 0u);  // reader pinned at the retire epoch
-  EXPECT_EQ(em.stats().retired_pending, 2u);
-  g.Release();
-  EXPECT_EQ(em.TryReclaim(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // FIFO, never concurrent
-  EXPECT_EQ(em.stats().retired_pending, 0u);
-  EXPECT_EQ(em.stats().reclaimed, 2u);
-}
-
-TEST(Epoch, SynchronizeAdvancesEpochAndReclaims) {
+TEST(Epoch, SynchronizeAdvancesEpochAndCountsTheGracePeriod) {
   EpochManager em;
   const uint64_t e0 = em.current_epoch();
-  bool freed = false;
-  em.Retire([&] { freed = true; });
-  em.Synchronize();
+  em.Synchronize();  // nobody pinned: returns without waiting
   EXPECT_GT(em.current_epoch(), e0);
-  EXPECT_TRUE(freed);
   EXPECT_EQ(em.stats().synchronizes, 1u);
+  EXPECT_EQ(em.stats().grace_waits, 1u);
 }
 
 TEST(Epoch, SynchronizeWaitsForOldEpochReaders) {
   EpochManager em;
-  std::atomic<bool> synchronized{false};
-  std::atomic<bool> release_reader{false};
-
   EpochManager::Guard reader = em.Pin();
-  std::thread sync([&] {
-    em.Synchronize();
-    synchronized.store(true);
-  });
-  // The synchronizer must not return while the old-epoch reader is pinned.
-  // Give it ample opportunity to (incorrectly) finish.
-  for (int i = 0; i < 100; ++i) {
-    std::this_thread::yield();
-    ASSERT_FALSE(synchronized.load());
-  }
-  release_reader.store(true);
-  reader.Release();
-  sync.join();
-  EXPECT_TRUE(synchronized.load());
+  ExpectSynchronizeWaitsFor(em, [&] { reader.Release(); });
 }
 
 TEST(Epoch, NewEpochReadersDoNotBlockSynchronize) {
@@ -125,16 +107,14 @@ TEST(Epoch, NewEpochReadersDoNotBlockSynchronize) {
 
 TEST(Epoch, SlotPoolGrowsBeyondOneBlock) {
   // More simultaneous pins than one block holds (32): every pin must still
-  // succeed, and releasing them all must make everything reclaimable.
+  // succeed, and the grace-period scan must cover the grown blocks — the
+  // last pin sits in the fourth block and alone keeps Synchronize waiting.
   EpochManager em;
   std::vector<EpochManager::Guard> guards;
   for (int i = 0; i < 100; ++i) guards.push_back(em.Pin());
-  bool freed = false;
-  em.Retire([&] { freed = true; });
-  EXPECT_EQ(em.TryReclaim(), 0u);
-  guards.clear();
-  EXPECT_EQ(em.TryReclaim(), 1u);
-  EXPECT_TRUE(freed);
+  for (const EpochManager::Guard& g : guards) EXPECT_TRUE(g.pinned());
+  for (size_t i = 0; i + 1 < guards.size(); ++i) guards[i].Release();
+  ExpectSynchronizeWaitsFor(em, [&] { guards.back().Release(); });
 }
 
 TEST(Epoch, ConcurrentPinnersNeverLoseASlot) {
@@ -158,19 +138,15 @@ TEST(Epoch, ConcurrentPinnersNeverLoseASlot) {
   EXPECT_EQ(em.stats().pins, uint64_t{kThreads} * kItersPerThread);
 }
 
-TEST(Epoch, ConcurrentRetireAndSynchronizeReclaimEverything) {
+TEST(Epoch, ConcurrentSynchronizersAndPinnersAllFinish) {
   EpochManager em;
-  constexpr int kRetirers = 4;
-  constexpr int kPerThread = 500;
-  std::atomic<int> freed{0};
+  constexpr int kSynchronizers = 4;
+  constexpr int kPerThread = 100;
   {
     std::vector<std::thread> threads;
-    for (int t = 0; t < kRetirers; ++t) {
+    for (int t = 0; t < kSynchronizers; ++t) {
       threads.emplace_back([&] {
-        for (int i = 0; i < kPerThread; ++i) {
-          em.Retire([&] { freed.fetch_add(1, std::memory_order_relaxed); });
-          if (i % 64 == 0) em.TryReclaim();
-        }
+        for (int i = 0; i < kPerThread; ++i) em.Synchronize();
       });
     }
     std::thread reader([&] {
@@ -182,19 +158,8 @@ TEST(Epoch, ConcurrentRetireAndSynchronizeReclaimEverything) {
     for (auto& t : threads) t.join();
     reader.join();
   }
-  em.Synchronize();
-  EXPECT_EQ(freed.load(), kRetirers * kPerThread);
-  EXPECT_EQ(em.stats().retired_pending, 0u);
-}
-
-TEST(Epoch, DestructorRunsPendingDeleters) {
-  bool freed = false;
-  {
-    EpochManager em;
-    em.Retire([&] { freed = true; });
-    // No TryReclaim/Synchronize: the destructor must not leak the entry.
-  }
-  EXPECT_TRUE(freed);
+  EXPECT_EQ(em.stats().synchronizes, uint64_t{kSynchronizers} * kPerThread);
+  EXPECT_EQ(em.stats().grace_waits, uint64_t{kSynchronizers} * kPerThread);
 }
 
 }  // namespace

@@ -403,7 +403,6 @@ TEST(ObsEngineCoverage, DurableAdaptiveEngineExposesAllFamilies) {
   DurabilityOptions dopts;
   dopts.group_commit = true;
   dopts.checkpoint_every_mutations = 0;
-  dopts.background_checkpoints = false;
   durability::DurableEngine de;
   Status st;
   ASSERT_TRUE(durability::OpenDurable(UnitSchema(), RangeOpts(2), dopts,

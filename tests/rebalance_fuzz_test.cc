@@ -3,8 +3,8 @@
 // A seeded operation log interleaving Subscribe / SubscribeBatch /
 // Unsubscribe / MatchBatch / forced RebalanceOnce / SetRangeBoundaries /
 // fence-dimension switches (SetRoutingDimension) / epoch-drain points
-// (SynchronizeEpochs — forcing retired routing snapshots through the
-// grace period at arbitrary log positions) is replayed through sharded
+// (SynchronizeEpochs — an extra grace period at arbitrary log
+// positions) is replayed through sharded
 // kRange engines (several shard counts, thread counts and periodic
 // RebalanceOnce cadences, one with adaptive routing live) and through
 // the serial single-index engine; every batch's match sets — and an FNV
@@ -161,8 +161,8 @@ std::vector<Op> MakeOpLog(uint64_t seed, size_t n_ops) {
     } else if (roll < 0.955) {
       op.kind = Op::kForceRebalance;
     } else if (roll < 0.965) {
-      // Epoch-drain point: retired snapshots must be reclaimable at any
-      // log position without disturbing parity.
+      // Epoch-drain point: an extra grace period at any log position
+      // must not disturb parity.
       op.kind = Op::kEpochDrain;
     } else if (roll < 0.98) {
       op.kind = Op::kSetBoundaries;
@@ -327,13 +327,12 @@ TEST(RebalanceFuzz, FuzzedLogsActuallyExerciseTheRebalancer) {
     resident += info.subscriptions;
   }
   EXPECT_EQ(resident, engine.subscription_count());
-  // Epoch hygiene: every boundary move published (and retired) a routing
-  // snapshot; after a final drain nothing may be left pending.
+  // Epoch hygiene: every boundary move published a routing snapshot and
+  // ran a grace period before freeing the one it superseded.
   EXPECT_GT(engine.routing_version(), 1u);
   engine.SynchronizeEpochs();
   const exec::EpochManagerStats es = engine.epoch_stats();
-  EXPECT_EQ(es.retired_pending, 0u);
-  EXPECT_EQ(es.retired, engine.routing_version() - 1);
+  EXPECT_GE(es.synchronizes, engine.routing_version() - 1);
 }
 
 TEST(RebalanceFuzz, ConcurrentRebalanceKeepsEngineConsistent) {
@@ -503,14 +502,14 @@ TEST(RebalanceFuzz, ConcurrentDimensionFlipsKeepMatchingExact) {
   for (std::thread& m : matchers) m.join();
 
   // Quiesced bookkeeping: nobody lost or duplicated a resident, and every
-  // retired snapshot drains.
+  // publish ran its grace period.
   size_t resident = 0;
   for (const auto& info : engine.GetShardInfos()) {
     resident += info.subscriptions;
   }
   EXPECT_EQ(resident, subs.size());
   engine.SynchronizeEpochs();
-  EXPECT_EQ(engine.epoch_stats().retired_pending, 0u);
+  EXPECT_GE(engine.epoch_stats().synchronizes, engine.routing_version() - 1);
 }
 
 }  // namespace

@@ -230,7 +230,8 @@ void RunVerifyBatch(benchmark::State& state,
 int main(int argc, char** argv) {
   const auto& reg = accl::kernels::BackendRegistry::Instance();
   for (const accl::kernels::VerifyBackend* b : reg.All()) {
-    for (accl::Dim nd : {accl::Dim(16), accl::Dim(40)}) {
+    for (accl::Dim nd :
+         {accl::Dim(6), accl::Dim(9), accl::Dim(16), accl::Dim(40)}) {
       benchmark::RegisterBenchmark(
           ("BM_VerifyBatch/" + std::string(b->name()) + "/nd" +
            std::to_string(nd))

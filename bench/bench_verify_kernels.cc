@@ -78,7 +78,7 @@ int Run() {
   std::printf("%-6s | %-8s | %6s | %14s | %10s\n", "nd", "backend", "width",
               "ms/query", "avg.res");
 
-  for (const Dim nd : {Dim(16), Dim(40)}) {
+  for (const Dim nd : {Dim(6), Dim(9), Dim(16), Dim(40)}) {
     UniformSpec spec;
     spec.nd = nd;
     spec.count = n;

@@ -4,7 +4,9 @@
 // per-file; reached only via MakeAvx512Backend after the CPUID probe.
 //
 // Chunk remains 16 floats, matching AVX2, so first-fail positions and
-// dims accounting are structurally identical; see verify_common.h.
+// dims accounting are structurally identical. The floats past the last
+// whole chunk take one masked compare pair (FirstFailMasked); see
+// verify_common.h.
 #include <immintrin.h>
 
 #include "kernels/backends.h"
@@ -22,6 +24,19 @@ struct Avx512Probe {
     const __mmask16 m = static_cast<__mmask16>(
         _mm512_cmp_ps_mask(ov, _mm512_loadu_ps(bg), _CMP_GT_OQ) |
         _mm512_cmp_ps_mask(ov, _mm512_loadu_ps(bl), _CMP_LT_OQ));
+    return m != 0 ? static_cast<size_t>(__builtin_ctz(m)) : kChunk;
+  }
+  // The first `count` floats only: masked-out lanes are neither loaded
+  // (so they cannot fault) nor compared (so they report no failure).
+  static inline size_t FirstFailMasked(const float* o, const float* bg,
+                                       const float* bl, size_t count) {
+    const __mmask16 lanes = static_cast<__mmask16>((1u << count) - 1);
+    const __m512 ov = _mm512_maskz_loadu_ps(lanes, o);
+    const __mmask16 m = static_cast<__mmask16>(
+        _mm512_mask_cmp_ps_mask(lanes, ov, _mm512_maskz_loadu_ps(lanes, bg),
+                                _CMP_GT_OQ) |
+        _mm512_mask_cmp_ps_mask(lanes, ov, _mm512_maskz_loadu_ps(lanes, bl),
+                                _CMP_LT_OQ));
     return m != 0 ? static_cast<size_t>(__builtin_ctz(m)) : kChunk;
   }
 };

@@ -1,19 +1,32 @@
 // Shared skeleton of the batched verification kernel.
 //
 // Every ISA variant is the same algorithm — 64-record blocks, a branch-free
-// chunked fail probe per record, scalar tail for the floats past the last
-// full chunk, early-exit dims accounting, bitmask-deferred id emission —
-// differing only in how one chunk's "first failing float" is found. Keeping
-// the skeleton in one template makes the parity contract structural: a
-// backend cannot drift in blocking, ordering, or accounting, only in its
-// Probe.
+// chunked fail probe per record, one masked probe for the floats past the
+// last full chunk, early-exit dims accounting, bitmask-deferred id
+// emission — differing only in how one chunk's "first failing float" is
+// found. Keeping the skeleton in one template makes the parity contract
+// structural: a backend cannot drift in blocking, ordering, or accounting,
+// only in its Probe.
+//
+// Which per-record loop runs is decided once per call, never per record:
+//   - kChunk == 0 (the scalar reference): a per-float early-exit loop over
+//     the whole record. Only the scalar backend runs it.
+//   - stride % kChunk == 0 (16-d, 40-d records): whole chunks only.
+//   - otherwise (6-d, 9-d records): whole chunks, then one masked probe
+//     over the remaining stride % kChunk floats. Masked-out lanes are never
+//     loaded, so records and query images need no padding.
 //
 // Probe contract:
 //   static constexpr size_t kChunk;   // floats examined per step (0 = none:
-//                                     // the scalar tail handles everything)
+//                                     // the per-float loop does everything)
 //   static size_t FirstFail(const float* o, const float* bg, const float* bl);
 //     // smallest k in [0, kChunk) with o[k] > bg[k] || o[k] < bl[k],
 //     // or kChunk when the whole chunk passes.
+//   static size_t FirstFailMasked(const float* o, const float* bg,
+//                                 const float* bl, size_t count);
+//     // the same over the first `count` floats only (0 < count < kChunk),
+//     // or kChunk when they all pass; reads no float at or past `count`.
+//   Both are required only when kChunk > 0.
 #pragma once
 
 #include <algorithm>
@@ -25,10 +38,12 @@
 
 namespace accl::kernels::detail {
 
-template <typename Probe>
-size_t VerifyBatchImpl(const float* coords, const ObjectId* ids, size_t n,
-                       const BatchQuery& bq, std::vector<ObjectId>* out,
-                       uint64_t* dims_checked) {
+// One call's sweep. kMaskedTail is fixed per call by VerifyBatchImpl, so a
+// record whose stride is a whole number of chunks never pays for a tail test.
+template <typename Probe, bool kMaskedTail>
+size_t VerifyBlocks(const float* coords, const ObjectId* ids, size_t n,
+                    const BatchQuery& bq, std::vector<ObjectId>* out,
+                    uint64_t* dims_checked) {
   const Dim nd = bq.dims();
   const size_t stride = 2 * static_cast<size_t>(nd);
   const float* __restrict__ bg = bq.gt_bounds();
@@ -44,14 +59,21 @@ size_t VerifyBatchImpl(const float* coords, const ObjectId* ids, size_t n,
       // are rejected after one or two dimensions, so the sweep consumes
       // lines faster than a freshly started stream is predicted.
       __builtin_prefetch(o + 4 * stride);
-      size_t k = 0;
       size_t fail = stride;
-      if constexpr (Probe::kChunk > 0) {
+      if constexpr (Probe::kChunk == 0) {
+        for (size_t t = 0; t < stride; ++t) {
+          if ((o[t] > bg[t]) | (o[t] < bl[t])) {
+            fail = t;
+            break;
+          }
+        }
+      } else {
         // Chunked sweep: the fail test is evaluated branch-free for the
         // whole chunk and reduced to the first failing float. No
         // data-dependent branching per dimension, so mixed fail depths
         // cost no mispredictions; the one branch per chunk ("this chunk
         // decided it") is overwhelmingly taken on selective queries.
+        size_t k = 0;
         for (; k + Probe::kChunk <= stride; k += Probe::kChunk) {
           const size_t idx = Probe::FirstFail(o + k, bg + k, bl + k);
           if (idx != Probe::kChunk) {
@@ -59,14 +81,11 @@ size_t VerifyBatchImpl(const float* coords, const ObjectId* ids, size_t n,
             break;
           }
         }
-      }
-      if (fail == stride) {
-        // Scalar tail: the (stride % kChunk) floats past the last full
-        // chunk — also the whole record for the scalar backend.
-        for (size_t t = k; t < stride; ++t) {
-          if ((o[t] > bg[t]) | (o[t] < bl[t])) {
-            fail = t;
-            break;
+        if constexpr (kMaskedTail) {
+          if (fail == stride) {
+            const size_t idx =
+                Probe::FirstFailMasked(o + k, bg + k, bl + k, stride - k);
+            if (idx != Probe::kChunk) fail = k + idx;
           }
         }
       }
@@ -86,6 +105,18 @@ size_t VerifyBatchImpl(const float* coords, const ObjectId* ids, size_t n,
   }
   *dims_checked += dims;
   return matches;
+}
+
+template <typename Probe>
+size_t VerifyBatchImpl(const float* coords, const ObjectId* ids, size_t n,
+                       const BatchQuery& bq, std::vector<ObjectId>* out,
+                       uint64_t* dims_checked) {
+  if constexpr (Probe::kChunk > 0) {
+    if (2 * static_cast<size_t>(bq.dims()) % Probe::kChunk != 0) {
+      return VerifyBlocks<Probe, true>(coords, ids, n, bq, out, dims_checked);
+    }
+  }
+  return VerifyBlocks<Probe, false>(coords, ids, n, bq, out, dims_checked);
 }
 
 }  // namespace accl::kernels::detail

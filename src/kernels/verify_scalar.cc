@@ -10,12 +10,9 @@ namespace accl::kernels {
 namespace {
 
 struct ScalarProbe {
-  // No chunked sweep: VerifyBatchImpl's scalar tail — the per-float
-  // early-exit loop — handles the whole record.
+  // No chunked sweep: kChunk == 0 selects the skeleton's per-float
+  // early-exit loop for the whole record. Only this backend runs it.
   static constexpr size_t kChunk = 0;
-  static size_t FirstFail(const float*, const float*, const float*) {
-    return 0;  // unreachable with kChunk == 0
-  }
 };
 
 class ScalarBackend final : public VerifyBackend {

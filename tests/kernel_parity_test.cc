@@ -7,14 +7,19 @@
 // the count. The fuzzer sweeps dimensionalities chosen to stress every
 // chunk/tail split (below one chunk, exactly one chunk, chunk+1 float,
 // unaligned tails) and batch sizes around the 64-record block boundary,
-// plus degenerate point queries and boundary-touching coordinates.
+// plus degenerate point queries and boundary-touching coordinates. A
+// guard-page case proves the masked tail probe reads nothing past the last
+// record of a block.
 //
 // Also covered here: registry selection (the exact registered set, widest
 // supported), the ACCL_FORCE_BACKEND env pin and its unknown-name
 // fallback, including concurrent resolution.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,20 +54,24 @@ struct KernelResult {
   size_t returned = 0;
 };
 
-KernelResult Run(const VerifyBackend& b, const SlotArray& a,
-                 const BatchQuery& bq) {
+KernelResult Run(const VerifyBackend& b, const float* coords,
+                 const SlotArray& a, const BatchQuery& bq) {
   KernelResult r;
-  r.returned = b.VerifyBatch(a.coords_data(), a.ids().data(), a.size(), bq,
-                             &r.matches, &r.dims);
+  r.returned =
+      b.VerifyBatch(coords, a.ids().data(), a.size(), bq, &r.matches, &r.dims);
   return r;
 }
 
-void ExpectBackendParity(const SlotArray& a, const Box& q, Relation rel) {
+// `coords`, when given, is a copy of a's coordinate block that the backends
+// under test read in place of a's own; the scalar reference reads a's.
+void ExpectBackendParity(const SlotArray& a, const Box& q, Relation rel,
+                         const float* coords = nullptr) {
   const BatchQuery bq(q.view(), rel);
-  const KernelResult ref = Run(*Scalar(), a, bq);
+  const KernelResult ref = Run(*Scalar(), a.coords_data(), a, bq);
   EXPECT_EQ(ref.returned, ref.matches.size());
   for (const VerifyBackend* b : BackendRegistry::Instance().All()) {
-    const KernelResult got = Run(*b, a, bq);
+    const KernelResult got =
+        Run(*b, coords != nullptr ? coords : a.coords_data(), a, bq);
     EXPECT_EQ(got.matches, ref.matches)
         << b->name() << " match set diverged, " << RelationName(rel)
         << " nd=" << a.dims() << " n=" << a.size();
@@ -133,6 +142,70 @@ TEST(KernelParity, DegenerateAndBoundaryTouching) {
         p.set(d, x, x);
       }
       for (Relation rel : kRelations) ExpectBackendParity(a, p, rel);
+    }
+  }
+}
+
+// A copy of a coordinate block whose last float is the last one before a
+// PROT_NONE page, so a kernel that reads past the final record faults.
+class GuardedCoords {
+ public:
+  explicit GuardedCoords(const SlotArray& a) {
+    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    const size_t bytes = a.size() * 2 * a.dims() * sizeof(float);
+    const size_t data_len = (bytes + page - 1) / page * page;
+    len_ = data_len + page;
+    base_ = ::mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base_ == MAP_FAILED) {
+      base_ = nullptr;
+      ADD_FAILURE() << "mmap failed";
+      return;
+    }
+    char* bytes_base = static_cast<char*>(base_);
+    EXPECT_EQ(::mprotect(bytes_base + data_len, page, PROT_NONE), 0);
+    coords_ = reinterpret_cast<float*>(bytes_base + data_len - bytes);
+    std::memcpy(coords_, a.coords_data(), bytes);
+  }
+  ~GuardedCoords() {
+    if (base_ != nullptr) ::munmap(base_, len_);
+  }
+  GuardedCoords(const GuardedCoords&) = delete;
+  GuardedCoords& operator=(const GuardedCoords&) = delete;
+
+  const float* data() const { return coords_; }
+
+ private:
+  void* base_ = nullptr;
+  size_t len_ = 0;
+  float* coords_ = nullptr;
+};
+
+// The masked tail must never read past the record. A SlotArray keeps spare
+// capacity after its last record, so the random sweep above cannot catch an
+// over-read; here the block ends flush against an unreadable page. The
+// all-covering query makes every record match, so every probe runs to the
+// last float of its record.
+TEST(KernelParity, GuardPageLastRecordNoOverread) {
+  Rng rng(404);
+  // Sub-chunk records (1, 3, 6, 7), chunk + tail (9, 17).
+  for (Dim nd : {1u, 3u, 6u, 7u, 9u, 17u}) {
+    SlotArray a(nd);
+    for (ObjectId id = 0; id < 70; ++id) {
+      a.Append(id, testutil::RandomBox(rng, nd, 0.5f).view());
+    }
+    const GuardedCoords guarded(a);
+    std::vector<Box> queries;
+    Box all(nd);
+    for (Dim d = 0; d < nd; ++d) all.set(d, -1.0f, 2.0f);
+    queries.push_back(all);
+    for (int t = 0; t < 6; ++t) {
+      queries.push_back(testutil::RandomBox(rng, nd, 0.9f));
+    }
+    for (const Box& q : queries) {
+      for (Relation rel : kRelations) {
+        ExpectBackendParity(a, q, rel, guarded.data());
+      }
     }
   }
 }
